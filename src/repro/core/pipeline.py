@@ -271,8 +271,9 @@ class GrammarAnomalyDetector:
                     grammar = induce_grammar_interned(
                         disc.token_ids, disc.vocabulary, tokens=disc.tokens()
                     )
-            intervals = rule_intervals(grammar, disc)
-            gaps = uncovered_intervals(grammar, disc)
+            with metrics.span("pipeline.intervals"):
+                intervals = rule_intervals(grammar, disc)
+                gaps = uncovered_intervals(grammar, disc)
         density = rule_density_curve(intervals, series.size, metrics=metrics)
         if metrics.enabled:
             metrics.gauge("pipeline.words_reduced").set(len(disc))

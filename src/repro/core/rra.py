@@ -271,6 +271,17 @@ def _kernel_pair_distance(
     memoized = cache._pair_distances.get(key)
     if memoized is not None:
         return memoized
+    distance = _pair_distance(cache, p, q)
+    cache._pair_distances[key] = distance
+    return distance
+
+
+def _pair_distance(cache: _CandidateSet, p: RuleInterval, q: RuleInterval) -> float:
+    """The unmemoized distance behind :func:`_kernel_pair_distance`.
+
+    Symmetric bit for bit: equal lengths sum two squared norms and one
+    dot product, unequal lengths always slide the shorter interval.
+    """
     a = cache.values(p)
     b = cache.values(q)
     if a.size == b.size:
@@ -287,7 +298,6 @@ def _kernel_pair_distance(
             short_sqnorm=cache.sqnorm(short_iv),
             long_sq_cumsum=cache.sq_cumsum(long_iv),
         )
-    cache._pair_distances[key] = distance
     return distance
 
 
@@ -1100,12 +1110,17 @@ def nearest_neighbor_distances(
             group_sq[length] = sq
             group_pos[length] = {i: j for j, i in enumerate(members)}
 
+    # Unequal-length pairs are computed once, from the lower index, and
+    # offered to both ends; nothing O(k^2) is kept.
+    lengths = np.asarray([iv.length for iv in candidates], dtype=np.intp)
+    nearest_of = [float("inf")] * len(candidates)
     for i, p in enumerate(candidates):
         # Paper line 7 as a mask: |p0 - q0| > Length(p).  This also
         # removes p itself, so every True entry is one logical call.
-        valid = np.abs(starts - p.start) > p.length
+        gaps = np.abs(starts - p.start)
+        valid = gaps > p.length
         counter.batch(int(np.count_nonzero(valid)))
-        nearest = float("inf")
+        nearest = nearest_of[i]
         p_values = cache.values(p)
         p_sqnorm = cache.sqnorm(p)
 
@@ -1121,16 +1136,18 @@ def nearest_neighbor_distances(
                     query_sqnorm=p_sqnorm,
                     sqnorms=group_sqnorms[p.length][keep],
                 )
-            nearest = float(np.sqrt(sq.min() / p.length))
+            dist = float(np.sqrt(sq.min() / p.length))
+            if dist < nearest:
+                nearest = dist
 
-        for length, members in by_length.items():
-            if length == p.length:
-                continue
-            for j in members:
-                if not valid[j]:
-                    continue
-                dist = _kernel_pair_distance(cache, p, candidates[j])
-                if dist < nearest:
-                    nearest = dist
+        later = slice(i + 1, None)
+        offered = valid[later] | (gaps[later] > lengths[later])
+        offered &= lengths[later] != p.length
+        for j in (i + 1 + np.flatnonzero(offered)).tolist():
+            dist = _pair_distance(cache, p, candidates[j])
+            if valid[j] and dist < nearest:
+                nearest = dist
+            if gaps[j] > lengths[j] and dist < nearest_of[j]:
+                nearest_of[j] = dist
         results.append((p, nearest))
     return results

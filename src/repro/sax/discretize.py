@@ -26,7 +26,7 @@ from repro.sax.sax import mindist
 from repro.timeseries.paa import paa_batch
 from repro.timeseries.preprocess import nonfinite_spans
 from repro.timeseries.windows import sliding_windows
-from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD, znorm_rows
+from repro.timeseries.znorm import DEFAULT_FLATNESS_THRESHOLD
 
 
 class NumerosityReduction(enum.Enum):
@@ -139,34 +139,21 @@ class Discretization:
         return 1.0 - len(self.words) / self.raw_word_count
 
 
-def normalized_flat_windows(
-    series: np.ndarray,
-    window: int,
-    *,
-    flatness_threshold: float = DEFAULT_FLATNESS_THRESHOLD,
-    normalized: np.ndarray = None,
-) -> np.ndarray:
-    """Z-normalized sliding windows with flat rows zeroed out.
+#: Sliding-window rows z-normalized per block in :func:`windowed_paa`:
+#: about 1 MB of float64 rows, whatever the window length.
+BLOCK_BYTES = 1 << 20
 
-    The ``paa_size``- and alphabet-independent front half of
-    :func:`windowed_paa`: slide, z-normalize, zero out flat windows.
-    Flat windows carry no shape: discretizing them as exact zeros maps
-    them all to the same middle-letter word instead of flickering
-    across the central breakpoint on sub-threshold noise.
 
-    Pass *normalized* (a prebuilt ``znorm_rows`` of the same windows at
-    the same threshold, e.g. a
-    :class:`~repro.timeseries.kernels.WindowMatrix`'s ``normalized``)
-    to skip the normalization pass; the flat-row zeroing never mutates
-    it.
-    """
-    windows = sliding_windows(series, window)
-    if normalized is None:
-        normalized = znorm_rows(windows, flatness_threshold)
-    flat_rows = windows.std(axis=1) < flatness_threshold
-    if flat_rows.any():
-        normalized = np.where(flat_rows[:, None], 0.0, normalized)
-    return normalized
+def _check_window_paa(window: int, paa_size: int) -> None:
+    """Reject ``(window, paa_size)`` pairs no discretization can use."""
+    if window < 2:
+        raise ParameterError(f"window must be at least 2, got {window}")
+    if paa_size < 1:
+        raise ParameterError(f"PAA size must be positive, got {paa_size}")
+    if paa_size > window:
+        raise ParameterError(
+            f"PAA size {paa_size} exceeds window length {window}"
+        )
 
 
 def windowed_paa(
@@ -175,23 +162,47 @@ def windowed_paa(
     paa_size: int,
     *,
     flatness_threshold: float = DEFAULT_FLATNESS_THRESHOLD,
-    normalized_flat: np.ndarray = None,
 ) -> np.ndarray:
     """Per-window PAA coefficients of the z-normalized sliding windows.
 
     The expensive front half of :func:`discretize` — everything that
     depends only on ``(window, paa_size)`` and not on the alphabet.
     Parameter sweeps compute this once per ``(window, paa_size)`` pair
-    and hand it to :func:`discretize` for each alphabet size; the
-    memoization context goes further and shares *normalized_flat* (the
-    output of :func:`normalized_flat_windows`) across every
-    ``paa_size`` of the same ``window``.
+    and hand it to :func:`discretize` for each alphabet size.
+
+    The sliding-window view is z-normalized in blocks of about
+    :data:`BLOCK_BYTES`, so the ``(k, window)`` window matrix is never
+    built.  Each block's window std is computed once and serves both
+    the flatness test and the scaling.  Flat windows carry no shape:
+    they are zeroed, so they all map to the middle-letter word instead
+    of flickering across the central breakpoint on sub-threshold noise.
+    Each row gets exactly the arithmetic of
+    :func:`~repro.timeseries.znorm.znorm_rows` followed by
+    :func:`~repro.timeseries.paa.paa_batch`, bit for bit.
+
+    When ``window % paa_size != 0`` the fractional PAA is a matrix
+    product whose rounding depends on the number of rows, so the
+    blocks fill one ``(k, window)`` buffer and the product runs once
+    over all of it.
     """
-    if normalized_flat is None:
-        normalized_flat = normalized_flat_windows(
-            series, window, flatness_threshold=flatness_threshold
+    _check_window_paa(window, paa_size)
+    windows = sliding_windows(series, window)
+    k = windows.shape[0]
+    fractional = window % paa_size != 0
+    out = np.empty((k, window if fractional else paa_size))
+    rows = max(1, BLOCK_BYTES // (8 * window))
+    for start in range(0, k, rows):
+        block = windows[start : start + rows]
+        stds = block.std(axis=1, keepdims=True)
+        flat = stds < flatness_threshold
+        normalized = (block - block.mean(axis=1, keepdims=True)) / np.where(
+            flat, 1.0, stds
         )
-    return paa_batch(normalized_flat, paa_size)
+        normalized[flat[:, 0]] = 0.0
+        out[start : start + rows] = (
+            normalized if fractional else paa_batch(normalized, paa_size)
+        )
+    return paa_batch(out, paa_size) if fractional else out
 
 
 def discretize(
@@ -246,15 +257,10 @@ def discretize(
             f"series contains non-finite values in spans {shown}{more}; "
             f"clean it first (see repro.timeseries.preprocess.quality_gate)"
         )
-    if window < 2:
-        raise ParameterError(f"window must be at least 2, got {window}")
+    _check_window_paa(window, paa_size)
     if series.size < window:
         raise DiscretizationError(
             f"series of length {series.size} is shorter than window {window}"
-        )
-    if paa_size > window:
-        raise ParameterError(
-            f"PAA size {paa_size} exceeds window length {window}"
         )
     # Validate alphabet early (breakpoints() raises ParameterError).
     cuts = breakpoints_array(alphabet_size)

@@ -245,6 +245,24 @@ class TestEngineWiring:
         for ledger in ledgers:
             assert ledger["calls"] == ledger["true_calls"] + ledger["pruned"]
 
+    def test_pipeline_fit_spans_interval_projection(self):
+        series = sine_with_anomaly(length=700, period=70, seed=9).series
+        plain = GrammarAnomalyDetector(40, 4, 4).fit(series)
+        m = MetricsRegistry()
+        traced = GrammarAnomalyDetector(40, 4, 4, metrics=m).fit(series)
+        names = [e["name"] for e in m.events]
+        assert names == [
+            "pipeline.discretize.start",
+            "pipeline.discretize.end",
+            "pipeline.grammar.start",
+            "pipeline.grammar.end",
+            "pipeline.intervals.start",
+            "pipeline.intervals.end",
+        ]
+        assert list(traced.intervals) == list(plain.intervals)
+        assert list(traced.gaps) == list(plain.gaps)
+        assert NULL_METRICS.events == [] and NULL_METRICS.snapshot() is None
+
     def test_budget_trip_becomes_trace_event(self):
         series = sine_with_anomaly(length=700, period=70, seed=9).series
         m = MetricsRegistry()

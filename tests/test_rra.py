@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rra import (
     RRAResult,
+    _CandidateSet,
     _is_non_self_match,
+    _kernel_pair_distance,
     find_discord,
     find_discords,
     nearest_neighbor_distances,
 )
 from repro.exceptions import DiscordSearchError
 from repro.grammar.intervals import RuleInterval
+from repro.timeseries import kernels
 from repro.timeseries.distance import DistanceCounter
 
 
@@ -175,3 +180,70 @@ class TestNearestNeighborDistances:
         ]
         if frequent:
             assert min(frequent) < 0.5
+
+
+def _profile_oracle(series, candidates):
+    """Per-candidate nearest neighbours, each pair visited from both ends.
+
+    Same-length rows go through one matrix-vector product per query and
+    unequal-length pairs through the memoized pair kernel, as the kernel
+    backend's accounting describes: one logical call per valid pair.
+    """
+    cache = _CandidateSet(series, candidates)
+    calls, profile = 0, []
+    for p in candidates:
+        nearest = float("inf")
+        same = [q for q in candidates if q.length == p.length and _is_non_self_match(p, q)]
+        if same:
+            rows = np.stack([cache.values(q) for q in same])
+            sq = kernels.one_vs_all_sq_euclidean(
+                cache.values(p),
+                rows,
+                query_sqnorm=cache.sqnorm(p),
+                sqnorms=kernels.row_sqnorms(rows),
+            )
+            nearest = float(np.sqrt(sq.min() / p.length))
+        for q in candidates:
+            if q.length != p.length and _is_non_self_match(p, q):
+                nearest = min(nearest, _kernel_pair_distance(cache, p, q))
+        calls += sum(q is not p and _is_non_self_match(p, q) for q in candidates)
+        profile.append((p, nearest))
+    return calls, profile
+
+
+class TestNearestNeighborProfileExact:
+    """The kernel profile computes each unequal-length pair once and
+    offers it to both ends; |p0 - q0| > Length(p) is asymmetric, so a
+    pair may count for only one of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        spans=st.lists(
+            st.tuples(st.integers(0, 260), st.sampled_from([6, 9, 14, 21, 30])),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_bit_identical_to_oracle(self, seed, spans):
+        series = np.cumsum(np.random.default_rng(seed).normal(size=300))
+        candidates = [
+            RuleInterval(i, start, start + length, usage=1)
+            for i, (start, length) in enumerate(spans)
+        ]
+        counter = DistanceCounter()
+        profile = nearest_neighbor_distances(series, candidates, counter=counter)
+        calls, expected = _profile_oracle(series, candidates)
+        assert counter.calls == calls
+        assert [iv for iv, _ in profile] == [iv for iv, _ in expected]
+        got = np.array([d for _, d in profile])
+        want = np.array([d for _, d in expected])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_asymmetric_pair_counts_for_one_end(self):
+        series = np.sin(np.arange(200) / 3.0) + np.linspace(0, 1, 200)
+        short = RuleInterval(0, 0, 10, usage=1)
+        long_ = RuleInterval(1, 20, 50, usage=1)  # 20 > 10 but not > 30
+        profile = dict(nearest_neighbor_distances(series, [short, long_]))
+        assert np.isfinite(profile[short])
+        assert np.isinf(profile[long_])
