@@ -1,8 +1,8 @@
 """Zero-dependency metrics registry: counters, gauges, histograms, timers.
 
 The paper's single efficiency metric is the number of distance-function
-calls (Table 1); after the kernel, resilience, parallel, and pruning
-layers there is a lot more to *see* about what a search did.  This
+calls (Table 1); after the kernel, resilience, and parallel layers
+there is a lot more to *see* about what a search did.  This
 module provides the registry those layers report into:
 
 * :class:`Counter` — monotone integers (candidates visited, early

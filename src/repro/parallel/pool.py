@@ -95,7 +95,7 @@ def ramped_slices(
     The first wave's chunks hold *base* candidates each, and every later
     wave doubles the chunk size.  Dispatched wave-by-wave (see
     ``run_tasks(wave_size=workers)``), this mirrors how the serial scan
-    warms up its pruning threshold: early waves are cheap even though
+    warms up its abandon threshold: early waves are cheap even though
     their floor is stale, and by the time the big chunks run the merged
     threshold has essentially converged to the serial best — which is
     what keeps the total over-scan (and hence the parallel critical
@@ -139,15 +139,15 @@ def strided_wave_plan(
 
     The ranks of each wave are dealt round-robin to its chunks (rank
     ``lo + c``, ``lo + c + n``, ... for chunk *c* of *n*): RRA's outer
-    order puts the rarest rules — the expensive, hard-to-prune scans —
+    order puts the rarest rules — the expensive, hard-to-abandon scans —
     first, so contiguous chunks would stack that work into the first
     chunk and the wave's critical path would equal the serial cost.
 
     The plan has two phases.  *Warm-up*: up to *warmup* doubling waves
     of one chunk per worker (chunk spans 1, 2, 4, ... ranks), run with
     a barrier between them so each wave inherits the previous one's
-    pruning threshold — this mirrors the serial scan's threshold
-    warm-up while its cost is still dominated by unprunable full scans.
+    abandon threshold — this mirrors the serial scan's threshold
+    warm-up while its cost is still dominated by full scans that never abandon.
     *Sweep*: one final wave over everything left, cut into
     ``sweep_factor * workers`` strided chunks.  By then the threshold
     has essentially converged, so the floor's staleness costs little,
@@ -272,7 +272,7 @@ def run_tasks(
     payloads at a time (or, given a list, the explicit group sizes in
     order) and waits for the whole wave to finish (and be delivered)
     before building the next — this lets the search engines hand later
-    chunks the pruning threshold the earlier chunks already
+    chunks the abandon threshold the earlier chunks already
     established, instead of the stale seed value.  Wave barriers make
     the per-chunk work deterministic: a chunk's payload only ever sees
     the merged state of complete earlier waves.  A wave may hold more

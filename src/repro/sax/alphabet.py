@@ -76,6 +76,16 @@ def symbols_for_values(values: np.ndarray, alpha: int) -> str:
     return "".join(letters[int(i)] for i in idxs)
 
 
+def letter_indices(paa_values: np.ndarray, alpha: int) -> np.ndarray:
+    """SAX region index of every PAA value (vectorized, any shape).
+
+    The array form of :func:`symbols_for_values`: region ``r`` holds
+    values in ``[cut_{r-1}, cut_r)`` via ``searchsorted(..., side="right")``.
+    """
+    cuts = breakpoints_array(alpha)
+    return np.searchsorted(cuts, np.asarray(paa_values, dtype=float), side="right")
+
+
 def symbol_index(symbol: str) -> int:
     """Inverse of the letter mapping: 'a' -> 0, 'b' -> 1, ..."""
     if len(symbol) != 1 or not symbol.islower() or not symbol.isalpha():

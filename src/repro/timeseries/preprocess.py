@@ -187,6 +187,20 @@ class QualityReport:
         return not self.bad_spans
 
 
+def _check_squares_finite(series: np.ndarray) -> None:
+    """Raise when the series' sum of squares overflows float64."""
+    with np.errstate(over="ignore"):
+        total = np.dot(series, series)
+    if not np.isfinite(total):
+        peak = float(np.max(np.abs(series)))
+        raise DataQualityError(
+            f"series values reach magnitude {peak:.6g}; their sum of "
+            f"squares overflows float64, so every window statistic would "
+            f"be infinite — rescale the series (e.g. divide by {peak:.6g}) "
+            f"before searching"
+        )
+
+
 def quality_gate(
     series: np.ndarray, *, policy: str = "raise"
 ) -> QualityReport:
@@ -208,6 +222,11 @@ def quality_gate(
         but the returned mask flags them; callers must exclude candidate
         windows overlapping flagged regions so no anomaly is ever
         reported from invented data.
+
+    Under every policy, a series whose sum of squares overflows float64
+    raises :class:`~repro.exceptions.DataQualityError` naming its
+    largest magnitude: the window statistics would overflow to ``inf``
+    and the search would silently find nothing.
     """
     if policy not in QUALITY_POLICIES:
         raise ParameterError(
@@ -219,6 +238,7 @@ def quality_gate(
     spans = nonfinite_spans(series)
     mask = np.zeros(series.size, dtype=bool)
     if not spans:
+        _check_squares_finite(series)
         return QualityReport(series.copy(), mask, (), policy)
     if policy == "raise":
         shown = ", ".join(f"[{s}, {e})" for s, e in spans[:5])
@@ -229,6 +249,7 @@ def quality_gate(
             f"'mask' to proceed"
         )
     repaired = fill_missing(series, method="linear")
+    _check_squares_finite(repaired)
     if policy == "mask":
         for start, end in spans:
             mask[start:end] = True

@@ -4,8 +4,8 @@ Three invariants rule this module:
 
 * **Warm equals cold, bitwise.**  A cache hit must return the exact
   discords (starts, ends, hex-identical scores, ranks) and replay the
-  exact logical ledger (``calls == true_calls + pruned``) of the run
-  that populated it — for every engine, backend, and prune setting.
+  exact logical call count of the run that populated it — for every
+  engine and backend, with or without a shared memoization context.
 * **Corruption only ever costs a recompute.**  Truncated, garbled,
   version-mismatched, or mislabeled entries are discarded and reported
   as misses; they can never surface a wrong answer.
@@ -76,7 +76,6 @@ def run_engine(
     candidates,
     *,
     backend="kernel",
-    prune=False,
     cache=None,
     context=None,
     n_workers=1,
@@ -87,7 +86,6 @@ def run_engine(
         num_discords=2,
         counter=counter,
         backend=backend,
-        prune=prune,
         cache=cache,
         context=context,
         n_workers=n_workers,
@@ -108,16 +106,12 @@ def run_engine(
 
 def signature(result, counter):
     """Bit-exact comparison payload: discords + logical ledger."""
-    ledger = counter.ledger()
-    assert ledger["calls"] == ledger["true_calls"] + ledger["pruned"]
     return (
         [
             (d.start, d.end, float(d.score).hex(), d.rank, float(d.nn_distance).hex())
             for d in result.discords
         ],
-        ledger["calls"],
-        ledger["true_calls"],
-        ledger["pruned"],
+        counter.ledger(),
     )
 
 
@@ -128,21 +122,22 @@ def signature(result, counter):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("shared_context", [False, True])
 def test_cache_hit_bit_identical(
-    series, rra_candidates, engine, backend, prune, tmp_path
+    series, rra_candidates, engine, backend, shared_context, tmp_path
 ):
+    """Warm equals cold with the result cache alone, and with a
+    memoization context shared by the cold and the warm run."""
     plain = signature(
-        *run_engine(engine, series, rra_candidates, backend=backend, prune=prune)
+        *run_engine(engine, series, rra_candidates, backend=backend)
     )
     cache = ResultCache(tmp_path / "store")
-    context = SearchContext()
+    context = SearchContext() if shared_context else None
     cold_result, cold_counter = run_engine(
         engine,
         series,
         rra_candidates,
         backend=backend,
-        prune=prune,
         cache=cache,
         context=context,
     )
@@ -153,7 +148,6 @@ def test_cache_hit_bit_identical(
         series,
         rra_candidates,
         backend=backend,
-        prune=prune,
         cache=cache,
         context=context,
     )
@@ -193,15 +187,13 @@ def test_context_alone_is_bit_identical(
     series, rra_candidates, engine
 ):
     """The memoization context never changes results, only work."""
-    plain = signature(
-        *run_engine(engine, series, rra_candidates, prune=True)
-    )
+    plain = signature(*run_engine(engine, series, rra_candidates))
     context = SearchContext()
     first = signature(
-        *run_engine(engine, series, rra_candidates, prune=True, context=context)
+        *run_engine(engine, series, rra_candidates, context=context)
     )
     again = signature(
-        *run_engine(engine, series, rra_candidates, prune=True, context=context)
+        *run_engine(engine, series, rra_candidates, context=context)
     )
     assert first == plain and again == plain
     assert context.hits > 0  # the second run reused artifacts
@@ -365,13 +357,13 @@ def test_series_digest_memoizes_by_identity():
 
 
 def test_discord_search_key_sensitivity(series):
-    base = dict(window=40, num_discords=2, backend="kernel", prune=False)
+    base = dict(window=40, num_discords=2, backend="kernel")
     key = discord_search_key(series, (), engine="hotsax", params=base)
     assert len(key) == 64 and set(key) <= set("0123456789abcdef")
     assert key == discord_search_key(series, (), engine="hotsax", params=dict(base))
     assert key != discord_search_key(series, (), engine="haar", params=base)
     assert key != discord_search_key(
-        series, (), engine="hotsax", params={**base, "prune": True}
+        series, (), engine="hotsax", params={**base, "backend": "batch"}
     )
     rng = np.random.default_rng(0)
     assert key != discord_search_key(
@@ -395,12 +387,12 @@ def test_grid_cell_key_distinguishes_cells(series):
 
 
 def test_ledger_delta_roundtrip():
-    before = {"calls": 10, "true_calls": 6, "lb_calls": 2, "pruned": 4}
-    after = {"calls": 25, "true_calls": 16, "lb_calls": 5, "pruned": 9}
+    before = {"calls": 10}
+    after = {"calls": 25}
     delta = ledger_delta(before, after)
+    assert delta == {"calls": 15}
     counter = DistanceCounter()
-    counter.calls, counter.true_calls = 10, 6
-    counter.lb_calls, counter.pruned = 2, 4
+    counter.calls = 10
     apply_ledger_delta(counter, delta)
     assert counter.ledger() == after
 

@@ -56,6 +56,11 @@ class TestParser:
         args = build_parser().parse_args(["find", "x.csv"])
         assert (args.window, args.paa, args.alphabet) == (100, 4, 4)
 
+    def test_prune_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["find", "x.csv", "--prune"])
+        assert "--prune" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_demo_runs(self, capsys):

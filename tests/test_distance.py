@@ -180,6 +180,16 @@ class TestDistanceCounter:
         a, b = rng.normal(size=16), rng.normal(size=16)
         assert counter.euclidean(a, b) == pytest.approx(euclidean(a, b))
 
+    def test_batch_is_the_whole_ledger(self):
+        counter = DistanceCounter()
+        counter.batch(5)
+        counter.batch(3)
+        assert counter.ledger() == {"calls": 8}
+        assert counter.true_calls == 8
+        assert repr(counter) == "DistanceCounter(calls=8)"
+        with pytest.raises(ParameterError):
+            counter.batch(-1)
+
 
 class TestVariableLengthAlignmentEdgeCases:
     """Unequal-length alignment against a naive reference implementation."""

@@ -7,6 +7,8 @@ with a useful message, or produces a well-defined degenerate result.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,38 @@ class TestHostileValues:
         best = detector.discords(num_discords=1).best
         assert best is not None
         assert 400 <= best.start <= 600
+
+    @pytest.mark.parametrize("policy", ["raise", "interpolate", "mask"])
+    def test_overflowing_squares_rejected(self, policy):
+        """A finite series whose squares overflow float64 used to return
+        no discords as COMPLETE; every quality policy now refuses it and
+        names the largest magnitude."""
+        from repro.datasets import synthetic_ecg
+
+        ecg = synthetic_ecg(num_beats=8, anomaly_beats=(5,), seed=3)
+        series = ecg.series * 1e160
+        peak = f"{np.max(np.abs(series)):.6g}"
+        detector = GrammarAnomalyDetector(
+            ecg.window, ecg.paa_size, ecg.alphabet_size, quality_policy=policy
+        )
+        with pytest.raises(DataQualityError, match=re.escape(peak)):
+            detector.fit(series)
+
+    def test_large_finite_squares_keep_discords(self):
+        """Just below the overflow edge the answer is the unscaled one."""
+        from repro.datasets import synthetic_ecg
+
+        ecg = synthetic_ecg(num_beats=8, anomaly_beats=(5,), seed=3)
+        found = []
+        for scale in (1.0, 1e150):
+            detector = GrammarAnomalyDetector(
+                ecg.window, ecg.paa_size, ecg.alphabet_size
+            )
+            detector.fit(ecg.series * scale)
+            result = detector.discords(num_discords=2)
+            assert result.complete
+            found.append([(d.start, d.end) for d in result.discords])
+        assert found[1] == found[0] == [(589, 736), (277, 400)]
 
     def test_tiny_magnitudes_flatness(self):
         """A signal entirely below the flatness threshold is 'flat'."""

@@ -12,7 +12,9 @@ from repro.exceptions import ParameterError
 from repro.sax.alphabet import (
     MAX_ALPHABET_SIZE,
     MIN_ALPHABET_SIZE,
+    alphabet_letters,
     breakpoints,
+    letter_indices,
     symbol_for_value,
     symbol_index,
     symbols_for_values,
@@ -91,6 +93,18 @@ class TestSymbolsForValues:
         values = rng.normal(size=20)
         word = symbols_for_values(values, 5)
         assert word == "".join(symbol_for_value(v, 5) for v in values)
+
+
+class TestLetterIndices:
+    def test_letter_indices_match_scalar_symbols(self):
+        values = np.array([[-2.0, -0.1, 0.0, 0.4, 2.5]])
+        for alpha in (3, 5, 8):
+            letters = alphabet_letters(alpha)
+            idx = letter_indices(values, alpha)
+            expected = [
+                letters.index(symbol_for_value(v, alpha)) for v in values[0]
+            ]
+            assert idx.tolist() == [expected]
 
 
 class TestSymbolIndex:
