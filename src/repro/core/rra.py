@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,12 +120,12 @@ class _RankState:
 
 
 class _CandidateSet:
-    """Candidate intervals with cached kernel statistics.
+    """Kernel statistics of candidate intervals, cached by position.
 
     Z-normalization of every interval comes from one O(m) pass of
     cumulative sums over the series (:class:`~repro.timeseries.kernels.
     SeriesStats`) instead of a per-window ``znorm`` call, and the
-    quantities the batch distance kernels need — squared norms and
+    quantities the pair distance kernel needs — squared norms and
     squared cumulative sums of the normalized values — are cached per
     distinct interval.  One instance is shared across the ranks of an
     iterative :func:`find_discords` extraction.
@@ -133,12 +134,10 @@ class _CandidateSet:
     def __init__(
         self,
         series: np.ndarray,
-        intervals: Sequence[RuleInterval],
         *,
         stats: Optional[kernels.SeriesStats] = None,
     ):
         self.series = np.ascontiguousarray(series, dtype=float)
-        self.intervals = list(intervals)
         # A prebuilt SeriesStats lets pool workers rebuild the cache from
         # shared-memory cumulative sums instead of re-deriving them.
         self._stats = stats if stats is not None else kernels.SeriesStats(self.series)
@@ -150,13 +149,6 @@ class _CandidateSet:
         # within a search and, when a SearchContext keeps this set
         # alive, across repeated searches over the same candidates.
         self._pair_distances: dict[tuple[int, int, int, int], float] = {}
-        # Batch-backend structures, built lazily on first use: per-length
-        # stacked matrices of every distinct same-length subsequence, and
-        # per-candidate one-vs-group squared-distance rows.
-        self._length_groups: dict[
-            int, tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]
-        ] = {}
-        self._batch_rows: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def stats(self) -> kernels.SeriesStats:
@@ -194,60 +186,6 @@ class _CandidateSet:
             cached = kernels.sq_cumsum(self.values(interval))
             self._sq_cumsums[key] = cached
         return cached
-
-    def _length_group(
-        self, length: int
-    ) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, int], int]]:
-        """Stacked matrix of every distinct subsequence of *length*.
-
-        Returns ``(rows, sqnorms, pos)`` where ``pos`` maps a
-        ``(start, end)`` key to its row index.  Built once per length on
-        first batch-backend use.
-        """
-        group = self._length_groups.get(length)
-        if group is None:
-            keys: list[tuple[int, int]] = []
-            seen: set[tuple[int, int]] = set()
-            for iv in self.intervals:
-                key = (iv.start, iv.end)
-                if iv.length != length or key in seen:
-                    continue
-                seen.add(key)
-                keys.append(key)
-            stacked = []
-            for key in keys:
-                values = self._values.get(key)
-                if values is None:
-                    values = self._stats.znorm(*key)
-                    self._values[key] = values
-                stacked.append(values)
-            rows = np.stack(stacked)
-            pos = {key: j for j, key in enumerate(keys)}
-            group = (rows, kernels.row_sqnorms(rows), pos)
-            self._length_groups[length] = group
-        return group
-
-    def pair_distance_batch(self, p: RuleInterval, q: RuleInterval) -> float:
-        """Eq. 1 distance via cached one-vs-group rows (batch backend).
-
-        Equal-length pairs read one entry of a per-candidate squared
-        distance row computed in a single matrix-vector product against
-        the candidate's whole length group — amortizing the kernel over
-        every same-length comparison the search will make.  Unequal
-        lengths fall back to the sliding-alignment kernel pair path.
-        """
-        if p.length != q.length:
-            return _kernel_pair_distance(self, p, q)
-        key = (p.start, p.end)
-        row = self._batch_rows.get(key)
-        if row is None:
-            rows, sqnorms, _ = self._length_group(p.length)
-            row = kernels.one_vs_all_sq_euclidean(
-                self.values(p), rows, query_sqnorm=self.sqnorm(p), sqnorms=sqnorms
-            )
-            self._batch_rows[key] = row
-        pos = self._length_groups[p.length][2]
-        return float(np.sqrt(row[pos[(q.start, q.end)]] / p.length))
 
 
 def _kernel_pair_distance(
@@ -341,7 +279,7 @@ class _InnerOrdering:
 
     def order(
         self, candidate: RuleInterval, rng: np.random.Generator
-    ) -> list[RuleInterval]:
+    ) -> Iterator[RuleInterval]:
         """Same-rule intervals first, then the rest shuffled.
 
         The shuffle is one ``Generator.permutation(len(rest))`` draw
@@ -349,12 +287,15 @@ class _InnerOrdering:
         Fisher–Yates): faster, and its RNG consumption depends only on
         the tail *length*, so the parallel layer can replay generator
         states to any outer boundary without touching the intervals.
+        The draw happens here, eagerly; the intervals are produced
+        lazily, since the inner loop usually abandons after a few dozen
+        of the hundreds in the tail.
         """
         key = candidate.rule_id if candidate.rule_id >= 0 else self._GAP
         rest = self._rest_for(candidate)
-        same_rule = self._same_rule[key] if key != self._GAP else []
+        same_rule = self._same_rule[key] if key != self._GAP else ()
         perm = rng.permutation(len(rest))
-        return same_rule + [rest[j] for j in perm]
+        return chain(same_rule, map(rest.__getitem__, perm.tolist()))
 
 
 def find_discord(
@@ -390,12 +331,12 @@ def find_discord(
     backend:
         ``"kernel"`` (default) draws every pair distance from the
         vectorized kernels in :mod:`repro.timeseries.kernels`;
-        ``"batch"`` amortizes equal-length comparisons into cached
-        one-vs-group matrix products; ``"scalar"`` keeps the per-pair
-        reference path.  All visit the same pairs in the same order, so
-        call counts are identical.
+        ``"batch"`` shares that kernel pair path (RRA's inner loop
+        abandons too early for one-vs-group matrix products to pay);
+        ``"scalar"`` keeps the per-pair reference path.  All visit the
+        same pairs in the same order, so call counts are identical.
     cache:
-        Prebuilt :class:`_CandidateSet` over *series* and *intervals*,
+        Prebuilt :class:`_CandidateSet` over *series*,
         reused across the ranks of an iterative extraction so the znorm
         and kernel-statistic caches are computed once.
     budget:
@@ -456,10 +397,9 @@ def find_discord(
         return None, counter
 
     if cache is None:
-        cache = _CandidateSet(series, candidates)
+        cache = _CandidateSet(series)
     ordering = _InnerOrdering(candidates)
     use_kernel = backend != "scalar"
-    use_batch = backend == "batch"
 
     # Outer ordering: ascending rule usage (gaps first), deterministic
     # tie-break by position.
@@ -537,18 +477,16 @@ def find_discord(
                 _on_boundary(state, outer)
             p = outer[i]
             p_values = cache.values(p)
+            p_start, p_length = p.start, p.length
             nearest = float("inf")
             abandoned = False
             for q in ordering.order(p, rng):
-                if q is p or not _is_non_self_match(p, q):
+                # Paper line 7 (see _is_non_self_match), inlined.
+                if q is p or abs(p_start - q.start) <= p_length:
                     continue
                 if use_kernel:
                     counter.batch(1)
-                    dist = (
-                        cache.pair_distance_batch(p, q)
-                        if use_batch
-                        else _kernel_pair_distance(cache, p, q)
-                    )
+                    dist = _kernel_pair_distance(cache, p, q)
                 else:
                     dist = counter.variable_length(
                         p_values, cache.values(q), normalize_inputs=False
@@ -761,11 +699,11 @@ def find_discords(
 
     if context is not None:
         # The context keeps the whole candidate set (normalized values,
-        # norms, batch rows, pair distances) alive across searches over
+        # norms, pair distances) alive across searches over
         # the same grammar — a repeated search recomputes no distances.
         candidate_cache = context.rra_candidate_set(series, valid)
     else:
-        candidate_cache = _CandidateSet(series, valid)
+        candidate_cache = _CandidateSet(series)
 
     fingerprint: Optional[str] = None
     if checkpoint_path is not None or resume_from is not None:
@@ -1007,7 +945,7 @@ def nearest_neighbor_distances(
     if counter is None:
         counter = DistanceCounter()
     candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
-    cache = _CandidateSet(series, candidates)
+    cache = _CandidateSet(series)
     results: list[tuple[RuleInterval, float]] = []
 
     if backend == "scalar":

@@ -49,7 +49,6 @@ import numpy as np
 from repro.core.rra import (
     _CandidateSet,
     _InnerOrdering,
-    _is_non_self_match,
     _kernel_pair_distance,
 )
 from repro.discord.search import _inner_sequence
@@ -578,7 +577,6 @@ def scan_rra_positions(
         m_pairs = metrics.counter("worker.pairs")
         m_depth = metrics.histogram("worker.scan_depth")
     use_kernel = backend != "scalar"
-    use_batch = backend == "batch"
     result = ShardResult()
     local_best = floor
     started = time.perf_counter()
@@ -591,19 +589,17 @@ def scan_rra_positions(
             result.status = budget.status.value
             break
         p_values = cache.values(p)
+        p_start, p_length = p.start, p.length
         minima: list = []
         nearest = float("inf")
         scanned = 0
         complete = True
         for q in ordering.order(p, rng):
-            if q is p or not _is_non_self_match(p, q):
+            # Paper line 7 (see _is_non_self_match), inlined.
+            if q is p or abs(p_start - q.start) <= p_length:
                 continue
             if use_kernel:
-                dist = (
-                    cache.pair_distance_batch(p, q)
-                    if use_batch
-                    else _kernel_pair_distance(cache, p, q)
-                )
+                dist = _kernel_pair_distance(cache, p, q)
             else:
                 dist = variable_length_distance(
                     p_values, cache.values(q), normalize_inputs=False
@@ -651,7 +647,7 @@ def scan_rra_shard(payload: dict) -> ShardResult:
             for rule_id, start, end, usage in payload["candidates"]
         ]
         stats = kernels.SeriesStats.from_cumsums(series, cumsum, sq_cumsum)
-        cache = _CandidateSet(series, candidates, stats=stats)
+        cache = _CandidateSet(series, stats=stats)
         ordering = _InnerOrdering(candidates)
         _RRA_SHARD_MEMO.clear()
         _RRA_SHARD_MEMO[memo_key] = (cache, ordering, candidates)

@@ -32,6 +32,7 @@ consumer via ``backend="scalar"``.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -66,8 +67,12 @@ __all__ = [
 #: Recognized distance backends for the discord searches.  ``kernel``
 #: is the block-vectorized default, ``scalar`` the per-pair reference
 #: path, and ``batch`` the tiled GEMM path behind the array-API seam
-#: (:mod:`repro.discord.batch`).  All three visit the same pairs in the
-#: same logical order, so results and call counts are identical.
+#: (:mod:`repro.discord.batch`) for the fixed-length engines and RRA's
+#: full nearest-neighbour profile.  RRA's search shares the kernel pair
+#: path on ``batch``: its one-vs-group gemv rows rounded differently
+#: from ``np.dot`` and changed call counts (tek_like("TEK17",
+#: seed=100020): 2793 calls vs 2805).  All three visit the same pairs in
+#: the same logical order, so results and call counts are identical.
 BACKENDS = ("kernel", "scalar", "batch")
 
 
@@ -565,11 +570,33 @@ def sliding_min_normalized_distance(
 
     The kernel form of the paper's Eq. 1 distance for already-normalized
     inputs: ``min over offsets of sqrt(‖short − segment‖² / len(short))``.
+
+    This is RRA's per-pair hot path, so the profile is fused: it is
+    never clipped, only its minimum is.  Clipping at zero is monotone,
+    so ``min(clip(x, 0)) == max(min(x), 0)`` and the result is bit for
+    bit ``sqrt(sliding_alignment_sq_profile(...).min() / n)``.  Callers
+    that pass both precomputed pieces must pass 1-d float arrays; the
+    inputs are then used as given.
     """
-    profile = sliding_alignment_sq_profile(
-        short, long_, short_sqnorm=short_sqnorm, long_sq_cumsum=long_sq_cumsum
+    if short_sqnorm is None or long_sq_cumsum is None:
+        short = np.asarray(short, dtype=float)
+        long_ = np.asarray(long_, dtype=float)
+        if short_sqnorm is None:
+            short_sqnorm = float(np.dot(short, short))
+        if long_sq_cumsum is None:
+            long_sq_cumsum = sq_cumsum(long_)
+    n = short.size
+    if n == 0 or long_.size < n:
+        raise ParameterError(
+            f"alignment needs 0 < len(short) <= len(long), "
+            f"got {n} vs {long_.size}"
+        )
+    sq = (
+        short_sqnorm
+        + (long_sq_cumsum[n:] - long_sq_cumsum[:-n])
+        - 2.0 * np.correlate(long_, short)
     )
-    return float(np.sqrt(profile.min() / short.size))
+    return math.sqrt(max(float(sq.min()), 0.0) / n)
 
 
 def variable_length_kernel(p: np.ndarray, q: np.ndarray) -> float:

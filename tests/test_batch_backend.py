@@ -290,6 +290,43 @@ def test_batch_checkpoints_are_not_kernel_checkpoints(tmp_path):
         )
 
 
+# TEK draws on which RRA's batch backend once drifted from the kernel:
+# equal-length pairs read one-vs-group matrix-vector rows whose last ulp
+# differs from the kernel's ``np.dot``, which flipped abandon decisions
+# and changed the call counts.  Both backends now share one pair path.
+_TEK_REPRODUCERS = [("TEK17", 100020), ("TEK16", 200022)]
+
+
+def _run_tek(variant, seed, *, backend="kernel", n_workers=1):
+    from repro.core.pipeline import GrammarAnomalyDetector
+    from repro.datasets import tek_like
+
+    detector = GrammarAnomalyDetector(
+        128, 4, 4, seed=0, backend=backend, n_workers=n_workers
+    )
+    detector.fit(tek_like(variant, seed=seed).series)
+    result = detector.discords(num_discords=3)
+    return result.distance_calls, [
+        (d.start, d.end, d.nn_distance.hex()) for d in result.discords
+    ]
+
+
+@pytest.mark.parametrize("variant,seed", _TEK_REPRODUCERS)
+def test_batch_rra_ledger_identical_to_kernel(variant, seed):
+    """Same calls and the same discord bits on ``batch`` and ``kernel``."""
+    assert _run_tek(variant, seed, backend="batch") == _run_tek(variant, seed)
+
+
+@pytest.mark.parametrize("backend", ["kernel", "batch"])
+@pytest.mark.parametrize("variant,seed", _TEK_REPRODUCERS)
+def test_parallel_rra_on_tek_reproducers_matches_serial(variant, seed, backend):
+    import multiprocessing
+
+    serial = _run_tek(variant, seed, backend=backend)
+    assert _run_tek(variant, seed, backend=backend, n_workers=2) == serial
+    assert multiprocessing.active_children() == []
+
+
 def test_validate_backend_accepts_batch():
     kernels.validate_backend("batch")
     assert "batch" in kernels.BACKENDS

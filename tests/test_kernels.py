@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rra import find_discord, find_discords, nearest_neighbor_distances
 from repro.discord.brute_force import brute_force_discord
@@ -187,6 +189,59 @@ class TestSlidingAlignment:
             kernels.variable_length_kernel(np.array([]), np.ones(3))
         with pytest.raises(ParameterError):
             kernels.sliding_alignment_sq_profile(np.ones(5), np.ones(3))
+        with pytest.raises(ParameterError):
+            kernels.sliding_min_normalized_distance(
+                np.ones(5), np.ones(3), short_sqnorm=5.0,
+                long_sq_cumsum=kernels.sq_cumsum(np.ones(3)),
+            )
+
+
+def _unfused_min_distance(short, long_, short_sqnorm, long_sq_cumsum):
+    """Oracle: the whole clipped profile first, then ``sqrt(min / n)``."""
+    n = short.size
+    window_energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]
+    cross = np.correlate(long_, short, mode="valid")
+    profile = np.clip(short_sqnorm + window_energy - 2.0 * cross, 0.0, None)
+    return float(np.sqrt(profile.min() / n))
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=400),
+    st.integers(min_value=2, max_value=400),
+    st.sampled_from(["random", "embedded", "flat_a", "flat_b", "flat_both"]),
+)
+def test_fused_min_distance_is_bit_identical(seed, len_a, len_b, kind):
+    """The fused kernel returns the unfused formula's exact bits for
+    either argument order, including alignments whose squared distance
+    rounds to zero or below (an embedded copy) and flat intervals, whose
+    z-normalized values are all zero."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=len_a)
+    b = rng.normal(size=len_b)
+    if kind == "embedded":
+        short, long_ = (a, b) if len_a <= len_b else (b, a)
+        at = int(rng.integers(0, long_.size - short.size + 1))
+        long_[at : at + short.size] = short
+    if kind in ("flat_a", "flat_both"):
+        a[:] = 0.0
+    if kind in ("flat_b", "flat_both"):
+        b[:] = 0.0
+    for p, q in ((a, b), (b, a)):
+        short, long_ = (p, q) if p.size <= q.size else (q, p)
+        short_sqnorm = float(np.dot(short, short))
+        long_sq_cumsum = kernels.sq_cumsum(long_)
+        expected = _unfused_min_distance(short, long_, short_sqnorm, long_sq_cumsum)
+        fused = kernels.sliding_min_normalized_distance(
+            short, long_, short_sqnorm=short_sqnorm, long_sq_cumsum=long_sq_cumsum
+        )
+        assert _bits(fused) == _bits(expected)
+        assert _bits(kernels.variable_length_kernel(p, q)) == _bits(expected)
 
 
 class TestCounterBatch:

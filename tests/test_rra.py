@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.rra import (
     RRAResult,
     _CandidateSet,
+    _InnerOrdering,
     _is_non_self_match,
     _kernel_pair_distance,
     find_discord,
@@ -56,6 +57,36 @@ class TestNonSelfMatch:
         p = RuleInterval(1, 100, 150, usage=1)  # length 50
         assert not _is_non_self_match(p, RuleInterval(2, 150, 190, usage=1))
         assert _is_non_self_match(p, RuleInterval(2, 151, 190, usage=1))
+
+
+class TestInnerOrdering:
+    @pytest.mark.parametrize("kind", ["gap", "rule"])
+    def test_lazy_order_matches_eager_list(self, kind):
+        """``order`` yields the same objects, in the same order, as the
+        eager ``same_rule + [rest[j] for j in perm]`` list, and draws its
+        one permutation before the first interval is read."""
+        candidates = [
+            iv for iv in _candidates_for(_blip_series()) if iv.length >= 2
+        ]
+        ordering = _InnerOrdering(candidates)
+        p = next(
+            iv for iv in candidates if (iv.rule_id < 0) == (kind == "gap")
+        )
+        if kind == "gap":
+            same_rule, rest = [], candidates
+        else:
+            same_rule = [iv for iv in candidates if iv.rule_id == p.rule_id]
+            rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
+        assert ordering.rest_size(p) == len(rest)
+        lazy_rng = np.random.default_rng(11)
+        eager_rng = np.random.default_rng(11)
+        lazy = ordering.order(p, lazy_rng)
+        expected = same_rule + [rest[j] for j in eager_rng.permutation(len(rest))]
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+        got = list(lazy)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
 
 
 class TestFindDiscord:
@@ -189,7 +220,7 @@ def _profile_oracle(series, candidates):
     unequal-length pairs through the memoized pair kernel, as the kernel
     backend's accounting describes: one logical call per valid pair.
     """
-    cache = _CandidateSet(series, candidates)
+    cache = _CandidateSet(series)
     calls, profile = 0, []
     for p in candidates:
         nearest = float("inf")
