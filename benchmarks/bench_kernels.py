@@ -1,7 +1,7 @@
 """Scalar-vs-kernel wall-time benchmark for the distance-kernel layer.
 
 Runs the same discord workloads through ``backend="scalar"`` (the
-per-pair reference path) and ``backend="kernel"`` (the vectorized batch
+per-pair reference path) and ``backend="kernel"`` (the vectorized
 kernels of :mod:`repro.timeseries.kernels`), verifies that the distance
 call counts are bit-identical, and records wall times + speedups in
 ``BENCH_kernels.json``:

@@ -367,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     find.add_argument(
         "--backend", choices=list(BACKENDS), default="kernel",
-        help="distance backend: kernel (vectorized blocks), batch "
-             "(tiled GEMM scans), or scalar (per-pair reference); "
-             "results and call counts are identical, only speed differs",
+        help="distance backend: kernel (vectorized blocks) or scalar "
+             "(per-pair reference); results and call counts are "
+             "identical, only speed differs",
     )
     find.add_argument(
         "--trace", action="store_true",

@@ -93,11 +93,9 @@ class GrammarAnomalyDetector:
         Seed for the RRA inner-loop shuffle; fixed for reproducibility.
     backend:
         Distance backend for the discord queries: ``"kernel"``
-        (vectorized block kernels, the default), ``"batch"`` (tiled
-        GEMM scans through the array-API seam — see
-        :mod:`repro.discord.batch`), or ``"scalar"`` (the per-pair
-        reference path).  Results and distance-call counts are
-        identical across all three; only wall time differs.
+        (vectorized block kernels, the default) or ``"scalar"`` (the
+        per-pair reference path).  Results and distance-call counts are
+        identical across both; only wall time differs.
     quality_policy:
         How :meth:`fit` treats NaN/Inf values in the input series:
         ``"raise"`` (default) refuses dirty data with

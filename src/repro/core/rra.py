@@ -245,8 +245,8 @@ class _InnerOrdering:
     Built once per :func:`find_discord` invocation over the (exclusion-
     filtered) candidate list, so ordering a candidate's inner loop no
     longer rescans all candidates with a Python predicate per outer
-    iteration — it concatenates a cached bucket with a cached
-    complement.
+    iteration — it chains a cached bucket with a cached complement,
+    held as an index array into the candidate list.
     """
 
     #: Bucket key for gap candidates (any negative rule id).
@@ -258,24 +258,31 @@ class _InnerOrdering:
         for iv in candidates:
             if iv.rule_id >= 0:
                 self._same_rule[iv.rule_id].append(iv)
-        self._rest: dict[int, list[RuleInterval]] = {}
+        self._rule_ids = np.fromiter(
+            (iv.rule_id for iv in candidates), dtype=np.int64, count=len(candidates)
+        )
+        self._rest: dict[int, np.ndarray] = {}
 
-    def _rest_for(self, candidate: RuleInterval) -> list[RuleInterval]:
-        key = candidate.rule_id if candidate.rule_id >= 0 else self._GAP
+    def _rest_for(self, key: int) -> np.ndarray:
+        """Candidate indices of *key*'s tail: every other rule's intervals
+        and all gaps (all candidates for a gap)."""
         rest = self._rest.get(key)
         if rest is None:
             if key == self._GAP:
-                rest = self._candidates
+                rest = np.arange(len(self._candidates))
             else:
-                rest = [iv for iv in self._candidates if iv.rule_id != key]
+                rest = np.flatnonzero(self._rule_ids != key)
             self._rest[key] = rest
         return rest
+
+    def _key(self, candidate: RuleInterval) -> int:
+        return candidate.rule_id if candidate.rule_id >= 0 else self._GAP
 
     def rest_size(self, candidate: RuleInterval) -> int:
         """Length of the shuffled tail — the size of the one permutation
         ``order`` draws, which is all a parallel parent needs to advance
         its generator past a candidate without ordering it."""
-        return len(self._rest_for(candidate))
+        return self._rest_for(self._key(candidate)).size
 
     def order(
         self, candidate: RuleInterval, rng: np.random.Generator
@@ -291,11 +298,13 @@ class _InnerOrdering:
         lazily, since the inner loop usually abandons after a few dozen
         of the hundreds in the tail.
         """
-        key = candidate.rule_id if candidate.rule_id >= 0 else self._GAP
-        rest = self._rest_for(candidate)
+        key = self._key(candidate)
+        rest = self._rest_for(key)
         same_rule = self._same_rule[key] if key != self._GAP else ()
-        perm = rng.permutation(len(rest))
-        return chain(same_rule, map(rest.__getitem__, perm.tolist()))
+        perm = rng.permutation(rest.size)
+        return chain(
+            same_rule, map(self._candidates.__getitem__, rest[perm].tolist())
+        )
 
 
 def find_discord(
@@ -331,9 +340,7 @@ def find_discord(
     backend:
         ``"kernel"`` (default) draws every pair distance from the
         vectorized kernels in :mod:`repro.timeseries.kernels`;
-        ``"batch"`` shares that kernel pair path (RRA's inner loop
-        abandons too early for one-vs-group matrix products to pay);
-        ``"scalar"`` keeps the per-pair reference path.  All visit the
+        ``"scalar"`` keeps the per-pair reference path.  Both visit the
         same pairs in the same order, so call counts are identical.
     cache:
         Prebuilt :class:`_CandidateSet` over *series*,
@@ -978,24 +985,6 @@ def nearest_neighbor_distances(
         group_sqnorms[length] = kernels.row_sqnorms(rows)
         group_index[length] = np.asarray(members, dtype=np.intp)
 
-    # The batch backend turns the per-query matrix-vector products of a
-    # length group into a few tiled GEMMs over the whole group, computed
-    # up front.  Accounting and the visited pairs are unchanged.
-    group_sq: dict[int, np.ndarray] = {}
-    group_pos: dict[int, dict[int, int]] = {}
-    if backend == "batch":
-        for length, members in by_length.items():
-            rows = group_rows[length]
-            sqnorms = group_sqnorms[length]
-            sq = np.empty((rows.shape[0], rows.shape[0]), dtype=float)
-            for lo, hi in kernels.tile_plan(rows.shape[0], rows.shape[0]):
-                sq[lo:hi] = kernels.all_pairs_sq_euclidean_tile(
-                    rows[lo:hi], rows,
-                    query_sqnorms=sqnorms[lo:hi], sqnorms=sqnorms,
-                )
-            group_sq[length] = sq
-            group_pos[length] = {i: j for j, i in enumerate(members)}
-
     # Unequal-length pairs are computed once, from the lower index, and
     # offered to both ends; nothing O(k^2) is kept.
     lengths = np.asarray([iv.length for iv in candidates], dtype=np.intp)
@@ -1013,15 +1002,12 @@ def nearest_neighbor_distances(
         same = group_index[p.length]
         keep = valid[same]
         if keep.any():
-            if backend == "batch":
-                sq = group_sq[p.length][group_pos[p.length][i]][keep]
-            else:
-                sq = kernels.one_vs_all_sq_euclidean(
-                    p_values,
-                    group_rows[p.length][keep],
-                    query_sqnorm=p_sqnorm,
-                    sqnorms=group_sqnorms[p.length][keep],
-                )
+            sq = kernels.one_vs_all_sq_euclidean(
+                p_values,
+                group_rows[p.length][keep],
+                query_sqnorm=p_sqnorm,
+                sqnorms=group_sqnorms[p.length][keep],
+            )
             dist = float(np.sqrt(sq.min() / p.length))
             if dist < nearest:
                 nearest = dist

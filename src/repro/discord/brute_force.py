@@ -13,6 +13,7 @@ also provides the closed-form call count that the paper tabulates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -117,7 +118,7 @@ def brute_force_discord(
     if windows is None:
         windows = kernels.WindowMatrix(series, window)
     normalized = windows.normalized
-    sqnorms = windows.sqnorms if backend in ("kernel", "batch") else None
+    sqnorms = windows.sqnorms if backend == "kernel" else None
 
     best_dist = -1.0
     best_pos = None
@@ -182,24 +183,6 @@ def _brute_force_scan(
 ) -> tuple[float, Optional[int]]:
     """The exhaustive outer/inner loop; returns (best_dist, best_pos)."""
     metrics = ensure_metrics(metrics)
-    if backend == "batch":
-        from repro.discord import batch
-
-        active = [
-            p for p in range(k)
-            if not any(s <= p < e for s, e in exclude)
-        ]
-        arange = np.arange(k, dtype=np.intp)
-
-        def make_order(p: int) -> np.ndarray:
-            return arange[np.abs(arange - p) > window]
-
-        scanner = batch.TileScanner(normalized, sqnorms)
-        return batch.batch_serial_scan(
-            scanner, active, make_order,
-            abandon=early_abandon, counter=counter, budget=budget,
-            metrics=metrics, init_best=-1.0, band=window,
-        )
     instrumented = metrics.enabled
     if instrumented:
         m_visited = metrics.counter("search.candidates_visited")
@@ -225,18 +208,27 @@ def _brute_force_scan(
             sq_row = kernels.one_vs_all_sq_euclidean(
                 normalized[p], normalized, query_sqnorm=sqnorms[p], sqnorms=sqnorms
             )
-            valid = np.ones(k, dtype=bool)
-            valid[max(0, p - window) : p + window + 1] = False
-            dists = np.sqrt(sq_row[valid])
+            lo, hi = max(0, p - window), p + window + 1
+            n_valid = lo + max(0, k - hi)
             if early_abandon:
+                dists = np.sqrt(np.concatenate((sq_row[:lo], sq_row[hi:])))
                 hit = kernels.first_below(dists, best_dist)
                 if hit >= 0:
                     counter.batch(hit + 1)
                     abandoned = True
             if not abandoned:
-                counter.batch(dists.size)
-                if dists.size:
-                    nearest = float(dists.min())
+                # A surviving row contributes only its minimum; sqrt is
+                # monotone and correctly rounded, so the root of the
+                # minimum squared distance is bit for bit the minimum
+                # distance, without rooting the whole row.
+                counter.batch(n_valid)
+                if n_valid:
+                    nearest = math.sqrt(
+                        min(
+                            sq_row[:lo].min(initial=np.inf),
+                            sq_row[hi:].min(initial=np.inf),
+                        )
+                    )
         else:
             for q in range(k):
                 if abs(p - q) <= window:

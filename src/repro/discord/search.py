@@ -117,7 +117,7 @@ def ordered_discord_search(
     if windows is None:
         windows = kernels.WindowMatrix(series, window)
     normalized = windows.normalized
-    sqnorms = windows.sqnorms if backend in ("kernel", "batch") else None
+    sqnorms = windows.sqnorms if backend == "kernel" else None
 
     outer = sorted(range(k), key=lambda p: (len(buckets[keys[p]]), p))
 
@@ -176,90 +176,54 @@ def ordered_discord_search(
         m_best = metrics.counter("search.best_updates")
         m_depth = metrics.histogram("search.abandon_depth")
     try:
-        if backend == "batch":
-            from repro.discord import batch
-
-            # Exclusion filtering up front is equivalent: the serial
-            # loop never checks the budget for an excluded candidate.
-            active = [
-                p for p in outer
-                if not any(s <= p < e for s, e in exclude)
-            ]
-
-            def make_order(p: int) -> np.ndarray:
-                # Vectorized form of _inner_sequence + the window
-                # filter: same-bucket first, then the shuffled
-                # remainder, identical pair order and RNG consumption.
-                same_bucket = np.asarray(
-                    [q for q in buckets[keys[p]] if q != p], dtype=np.intp
-                )
-                tail = rng.permutation(k)
-                mask = np.ones(k, dtype=bool)
-                mask[same_bucket] = False
-                mask[p] = False
-                rest = tail[mask[tail]]
+        for p in outer:
+            if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
+                continue
+            if budget.interrupted(counter.calls) is not None:
+                break
+            if instrumented:
+                calls_at_entry = counter.calls
+            nearest = float("inf")
+            abandoned = False
+            same_bucket = [q for q in buckets[keys[p]] if q != p]
+            tail = rng.permutation(k)
+            if backend == "kernel":
                 order = (
-                    np.concatenate((same_bucket, rest))
-                    if same_bucket.size
-                    else rest
+                    q
+                    for q in _inner_sequence(same_bucket, tail, p)
+                    if abs(p - q) > window
                 )
-                return order[np.abs(order - p) > window]
-
-            scanner = batch.TileScanner(normalized, sqnorms)
-            best_dist, best_pos = batch.batch_serial_scan(
-                scanner, active, make_order,
-                abandon=True, counter=counter, budget=budget,
-                metrics=metrics, init_best=best_dist,
-            )
-        else:
-            for p in outer:
-                if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
-                    continue
-                if budget.interrupted(counter.calls) is not None:
-                    break
-                if instrumented:
-                    calls_at_entry = counter.calls
-                nearest = float("inf")
-                abandoned = False
-                same_bucket = [q for q in buckets[keys[p]] if q != p]
-                tail = rng.permutation(k)
-                if backend == "kernel":
-                    order = (
-                        q
-                        for q in _inner_sequence(same_bucket, tail, p)
-                        if abs(p - q) > window
+                nearest, consumed, abandoned = _kernel_inner_scan(
+                    normalized, sqnorms, p, order, best_dist
+                )
+                counter.batch(consumed)
+            else:
+                for q in _inner_sequence(same_bucket, tail, p):
+                    if abs(p - q) <= window:
+                        continue
+                    # Abandoning beyond `nearest` is lossless: while the
+                    # candidate is alive, nearest >= best_dist (see
+                    # hotsax.py).
+                    dist = counter.euclidean(
+                        normalized[p], normalized[q], cutoff=nearest
                     )
-                    nearest, consumed, abandoned = _kernel_inner_scan(
-                        normalized, sqnorms, p, order, best_dist
-                    )
-                    counter.batch(consumed)
+                    if dist < best_dist:
+                        abandoned = True
+                        break
+                    if dist < nearest:
+                        nearest = dist
+            if instrumented:
+                m_visited.inc()
+                if abandoned:
+                    m_abandoned.inc()
+                    m_depth.observe(counter.calls - calls_at_entry)
                 else:
-                    for q in _inner_sequence(same_bucket, tail, p):
-                        if abs(p - q) <= window:
-                            continue
-                        # Abandoning beyond `nearest` is lossless: while the
-                        # candidate is alive, nearest >= best_dist (see
-                        # hotsax.py).
-                        dist = counter.euclidean(
-                            normalized[p], normalized[q], cutoff=nearest
-                        )
-                        if dist < best_dist:
-                            abandoned = True
-                            break
-                        if dist < nearest:
-                            nearest = dist
+                    m_survived.inc()
+            if not abandoned and np.isfinite(nearest) and nearest > best_dist:
+                best_dist = nearest
+                best_pos = p
                 if instrumented:
-                    m_visited.inc()
-                    if abandoned:
-                        m_abandoned.inc()
-                        m_depth.observe(counter.calls - calls_at_entry)
-                    else:
-                        m_survived.inc()
-                if not abandoned and np.isfinite(nearest) and nearest > best_dist:
-                    best_dist = nearest
-                    best_pos = p
-                    if instrumented:
-                        m_best.inc()
+                    m_best.inc()
     except KeyboardInterrupt:
         if not has_channel:
             raise

@@ -270,122 +270,6 @@ def _record_scalar_pairs(
     return CandidateScan(p, scanned, minima, True)
 
 
-def _scan_fixed_positions_batch(
-    normalized: np.ndarray,
-    sqnorms: np.ndarray,
-    bucket_ids: Optional[np.ndarray],
-    positions: Iterable[int],
-    *,
-    window: int,
-    exclude: tuple,
-    abandon: bool,
-    floor: float,
-    rng: Optional[np.random.Generator],
-    budget: SearchBudget,
-    metrics=None,
-) -> ShardResult:
-    """Tiled recording scan for ``backend='batch'`` shards.
-
-    Classifies whole tiles of outer candidates with
-    :class:`repro.discord.batch.TileScanner`, then records each row with
-    :func:`repro.discord.batch.record_row` — producing the same
-    :class:`CandidateScan` records as the kernel recording scans, so the
-    replay merge is untouched.  Budget checks and the serial
-    ``processed`` bookkeeping for excluded positions run per candidate,
-    exactly as in :func:`scan_fixed_positions`; inner-order permutations
-    are pre-drawn per tile, the same over-draw-on-truncation the
-    parent's chunk pre-draws already perform (truncated shards are
-    discarded whole by the replay).
-    """
-    from repro.discord import batch
-
-    metrics = ensure_metrics(metrics)
-    instrumented = metrics.enabled
-    if instrumented:
-        m_candidates = metrics.counter("worker.candidates")
-        m_pairs = metrics.counter("worker.pairs")
-        m_depth = metrics.histogram("worker.scan_depth")
-    k = normalized.shape[0]
-    buckets: Optional[dict] = None
-    if bucket_ids is not None:
-        buckets = defaultdict(list)
-        for pos, bucket in enumerate(bucket_ids):
-            buckets[int(bucket)].append(pos)
-    # Bucketed (HOTSAX/Haar) shards always early-abandon, mirroring the
-    # serial engines.
-    abandon = abandon or buckets is not None
-
-    # Split the shard into active candidates plus, for each, the number
-    # of excluded positions immediately before it (those advance
-    # `processed` without a budget check, as in the serial loop).
-    active: list[int] = []
-    pre_excluded: list[int] = []
-    skipped = 0
-    for p in positions:
-        p = int(p)
-        if any(ex_start <= p < ex_end for ex_start, ex_end in exclude):
-            skipped += 1
-            continue
-        active.append(p)
-        pre_excluded.append(skipped)
-        skipped = 0
-    trailing = skipped
-
-    arange = np.arange(k, dtype=np.intp)
-
-    def make_order(p: int) -> np.ndarray:
-        if buckets is None:
-            return arange[np.abs(arange - p) > window]
-        same_bucket = np.asarray(
-            [q for q in buckets[int(bucket_ids[p])] if q != p], dtype=np.intp
-        )
-        tail = rng.permutation(k)
-        mask = np.ones(k, dtype=bool)
-        mask[same_bucket] = False
-        mask[p] = False
-        rest = tail[mask[tail]]
-        order = (
-            np.concatenate((same_bucket, rest)) if same_bucket.size else rest
-        )
-        return order[np.abs(order - p) > window]
-
-    scanner = batch.TileScanner(normalized, sqnorms)
-    result = ShardResult()
-    local_best = floor
-    started = time.perf_counter()
-    interrupted = False
-    for lo in range(0, len(active), scanner.tile_rows):
-        tile = active[lo : lo + scanner.tile_rows]
-        orders = [make_order(p) for p in tile]
-        tile_floor = local_best if abandon else float("-inf")
-        rows = scanner.prepare(tile, orders, tile_floor)
-        for j, row in enumerate(rows):
-            result.processed += pre_excluded[lo + j]
-            if budget.interrupted(result.calls) is not None:
-                result.status = budget.status.value
-                interrupted = True
-                break
-            threshold = local_best if abandon else float("-inf")
-            record = batch.record_row(row, threshold)
-            result.calls += record.scanned
-            result.records.append(record)
-            result.processed += 1
-            if instrumented:
-                m_candidates.inc()
-                m_pairs.inc(record.scanned)
-                m_depth.observe(record.scanned)
-            if record.complete:
-                nearest = record.nearest
-                if math.isfinite(nearest) and nearest > local_best:
-                    local_best = nearest
-        if interrupted:
-            break
-    if not interrupted:
-        result.processed += trailing
-    result.elapsed = time.perf_counter() - started
-    return result
-
-
 def scan_fixed_positions(
     normalized: np.ndarray,
     sqnorms: Optional[np.ndarray],
@@ -417,20 +301,6 @@ def scan_fixed_positions(
     """
     if budget is None:
         budget = SearchBudget.unlimited()
-    if backend == "batch":
-        return _scan_fixed_positions_batch(
-            normalized,
-            sqnorms,
-            bucket_ids,
-            positions,
-            window=window,
-            exclude=exclude,
-            abandon=abandon,
-            floor=floor,
-            rng=rng,
-            budget=budget,
-            metrics=metrics,
-        )
     metrics = ensure_metrics(metrics)
     instrumented = metrics.enabled
     if instrumented:

@@ -185,7 +185,7 @@ class StreamingAnomalyDetector:
         return []
 
     def push_many(self, values: Iterable[float]) -> list[StreamAlarm]:
-        """Consume a batch of points; return all alarms raised."""
+        """Consume several points in order; return all alarms raised."""
         alarms: list[StreamAlarm] = []
         for value in values:
             alarms.extend(self.push(value))

@@ -51,7 +51,7 @@ class IncrementalSequitur:
         self._state.push_code(code)
 
     def push_many(self, tokens) -> None:
-        """Append a batch of tokens."""
+        """Append several tokens in order."""
         for token in tokens:
             self.push(token)
 

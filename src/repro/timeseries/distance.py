@@ -16,7 +16,7 @@ Two distance flavours are used:
   alignment is kept; see DESIGN.md §5.
 
 The functions here are the *scalar reference* path (``backend="scalar"``
-in the discord searches); the vectorized batch equivalents live in
+in the discord searches); the vectorized equivalents live in
 :mod:`repro.timeseries.kernels` and are the default backend.
 """
 

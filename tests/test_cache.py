@@ -50,7 +50,7 @@ from repro.timeseries.distance import DistanceCounter
 
 WINDOW = 40
 ENGINES = ("rra", "hotsax", "haar", "brute_force")
-BACKENDS = ("scalar", "kernel", "batch")
+BACKENDS = ("scalar", "kernel")
 
 
 @pytest.fixture(scope="module")
@@ -363,7 +363,7 @@ def test_discord_search_key_sensitivity(series):
     assert key == discord_search_key(series, (), engine="hotsax", params=dict(base))
     assert key != discord_search_key(series, (), engine="haar", params=base)
     assert key != discord_search_key(
-        series, (), engine="hotsax", params={**base, "backend": "batch"}
+        series, (), engine="hotsax", params={**base, "backend": "scalar"}
     )
     rng = np.random.default_rng(0)
     assert key != discord_search_key(

@@ -61,6 +61,11 @@ class TestParser:
             build_parser().parse_args(["find", "x.csv", "--prune"])
         assert "--prune" in capsys.readouterr().err
 
+    def test_batch_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["find", "x.csv", "--backend", "batch"])
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_demo_runs(self, capsys):

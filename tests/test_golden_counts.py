@@ -3,7 +3,7 @@
 The paper's efficiency metric is the number of distance-function calls
 (Section 6: the distance function accounts for >= 99% of runtime).
 Several layers of machinery sit on top of that counter — vectorized
-kernels, the batch backend, anytime budgets, the process-pool
+kernels, anytime budgets, the process-pool
 scan/replay engine, and the result cache — and every one of them
 promises to preserve the *logical* call counts.  This suite pins the
 exact :class:`~repro.timeseries.distance.DistanceCounter` call counts
@@ -199,53 +199,6 @@ def test_parallel_counts_match_golden(
         datasets[dataset_name],
         rra_intervals[dataset_name],
         n_workers=2,
-    )
-    assert entry == golden["entries"][key], key
-
-
-@pytest.mark.parametrize(
-    "dataset_name, engine",
-    CASES,
-    ids=[_entry_key(*case) for case in CASES],
-)
-def test_batch_serial_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine
-):
-    """``backend='batch'`` must reproduce the SAME golden entry.
-
-    The tiled GEMM scans replay the serial nearest-so-far trajectory
-    over precomputed distances, so the call count and the discords
-    are pinned to the kernel backend's numbers — not to separate
-    batch-specific goldens.
-    """
-    key = _entry_key(dataset_name, engine)
-    entry = run_engine(
-        engine,
-        datasets[dataset_name],
-        rra_intervals[dataset_name],
-        n_workers=1,
-        backend="batch",
-    )
-    assert entry == golden["entries"][key], key
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "dataset_name, engine",
-    CASES,
-    ids=[_entry_key(*case) for case in CASES],
-)
-def test_batch_parallel_counts_match_golden(
-    golden, datasets, rra_intervals, dataset_name, engine
-):
-    """``backend='batch'`` with n_workers=2: still the same entry."""
-    key = _entry_key(dataset_name, engine)
-    entry = run_engine(
-        engine,
-        datasets[dataset_name],
-        rra_intervals[dataset_name],
-        n_workers=2,
-        backend="batch",
     )
     assert entry == golden["entries"][key], key
 

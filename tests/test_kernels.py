@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rra import find_discord, find_discords, nearest_neighbor_distances
@@ -50,6 +50,44 @@ class TestBackendValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ParameterError):
             kernels.validate_backend("cuda")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "validate_backend",
+            "GrammarAnomalyDetector",
+            "EnsembleDetector",
+            "find_discords",
+            "hotsax_discords",
+            "brute_force_discords",
+        ],
+    )
+    def test_removed_batch_backend_rejected(self, entry):
+        """``backend='batch'`` is gone: every public entry point refuses
+        it and names the two backends that remain."""
+        from repro import EnsembleDetector, GrammarAnomalyDetector
+        from repro.discord.brute_force import brute_force_discords
+
+        assert kernels.BACKENDS == ("kernel", "scalar")
+        series = _blip_series(length=300)
+        calls = {
+            "validate_backend": lambda: kernels.validate_backend("batch"),
+            "GrammarAnomalyDetector": lambda: GrammarAnomalyDetector(
+                40, 4, 4, backend="batch"
+            ),
+            "EnsembleDetector": lambda: EnsembleDetector(backend="batch"),
+            "find_discords": lambda: find_discords(
+                series, _candidates_for(series), backend="batch"
+            ),
+            "hotsax_discords": lambda: hotsax_discords(
+                series, 40, backend="batch"
+            ),
+            "brute_force_discords": lambda: brute_force_discords(
+                series, 40, backend="batch"
+            ),
+        }
+        with pytest.raises(ParameterError, match=r"\('kernel', 'scalar'\)"):
+            calls[entry]()
 
 
 class TestWindowStats:
@@ -242,6 +280,132 @@ def test_fused_min_distance_is_bit_identical(seed, len_a, len_b, kind):
         )
         assert _bits(fused) == _bits(expected)
         assert _bits(kernels.variable_length_kernel(p, q)) == _bits(expected)
+
+
+def test_sliding_window_stats_reuses_prebuilt_stats():
+    rng = np.random.default_rng(5)
+    series = rng.normal(size=300)
+    stats = kernels.SeriesStats(series)
+    fresh = kernels.sliding_window_stats(series, 24)
+    reused = kernels.sliding_window_stats(series, 24, stats=stats)
+    np.testing.assert_array_equal(fresh[0], reused[0])
+    np.testing.assert_array_equal(fresh[1], reused[1])
+    np.testing.assert_array_equal(
+        kernels.znorm_sliding_windows(series, 24),
+        kernels.znorm_sliding_windows(series, 24, stats=stats),
+    )
+
+
+def test_sliding_window_stats_rejects_mismatched_stats():
+    series = np.arange(100, dtype=float)
+    stats = kernels.SeriesStats(np.arange(50, dtype=float))
+    with pytest.raises(ParameterError, match="length"):
+        kernels.sliding_window_stats(series, 10, stats=stats)
+
+
+def test_window_matrix_caches_all_artifacts():
+    rng = np.random.default_rng(6)
+    series = rng.normal(size=200)
+    wm = kernels.WindowMatrix(series, 16)
+    np.testing.assert_array_equal(wm.view, sliding_windows(series, 16))
+    np.testing.assert_array_equal(
+        wm.normalized, znorm_rows(sliding_windows(series, 16))
+    )
+    np.testing.assert_array_equal(
+        wm.sqnorms, kernels.row_sqnorms(wm.normalized)
+    )
+    assert wm.normalized is wm.normalized  # computed once
+    assert wm.sqnorms is wm.sqnorms
+    means, stds = wm.window_stats()
+    ref_means, ref_stds = kernels.sliding_window_stats(series, 16)
+    np.testing.assert_array_equal(means, ref_means)
+    np.testing.assert_array_equal(stds, ref_stds)
+
+
+def test_window_matrix_rejects_degenerate_input():
+    with pytest.raises(ParameterError):
+        kernels.WindowMatrix(np.arange(4, dtype=float), 10)
+    with pytest.raises(ParameterError):
+        kernels.WindowMatrix(np.zeros((3, 3)), 2)
+
+
+def _masked_row_brute_force(series, window, exclude):
+    """Oracle: the non-abandoning kernel scan as it read before the row
+    minimum was taken in place — ``sqrt`` of a boolean-masked copy of
+    every candidate's squared-distance row, then the row minimum."""
+    wm = kernels.WindowMatrix(series, window)
+    k = wm.normalized.shape[0]
+    best_dist, best_pos, calls = -1.0, None, 0
+    for p in range(k):
+        if any(s <= p < e for s, e in exclude):
+            continue
+        sq_row = kernels.one_vs_all_sq_euclidean(
+            wm.normalized[p], wm.normalized,
+            query_sqnorm=wm.sqnorms[p], sqnorms=wm.sqnorms,
+        )
+        valid = np.ones(k, dtype=bool)
+        valid[max(0, p - window) : p + window + 1] = False
+        dists = np.sqrt(sq_row[valid])
+        calls += dists.size
+        if dists.size and float(dists.min()) > best_dist:
+            best_dist, best_pos = float(dists.min()), p
+    return best_pos, best_dist, calls
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=8, max_value=160),
+    st.floats(min_value=0.02, max_value=0.95),
+    st.sampled_from(["all", "head", "tail", "both_ends"]),
+)
+@example(seed=1, length=40, frac=0.25, ends="head")
+@example(seed=1, length=40, frac=0.25, ends="tail")
+@example(seed=2, length=40, frac=0.6, ends="all")
+def test_brute_force_row_minimum_is_bit_identical(seed, length, frac, ends):
+    """Without early abandoning, the kernel brute force takes the root of
+    each row's minimum squared distance.  Its discord carries the exact
+    bits and position of the masked-copy form, and its calls equal the
+    scalar reference's.  ``ends`` restricts the candidates to the first
+    and/or last window (an empty left or right part of the row); a
+    window wider than half the series leaves no non-self match at all:
+    no discord and 0 calls."""
+    series = np.random.default_rng(seed).normal(size=length)
+    window = max(2, min(length - 1, int(length * frac)))
+    k = length - window + 1
+    exclude = {
+        "all": (),
+        "head": ((1, k),),
+        "tail": ((0, k - 1),),
+        "both_ends": ((1, k - 1),),
+    }[ends]
+    results = {}
+    for backend in kernels.BACKENDS:
+        counter = DistanceCounter()
+        found, _ = brute_force_discord(
+            series, window, counter=counter, exclude=exclude, backend=backend
+        )
+        results[backend] = (found, counter.calls)
+    (kernel_found, kernel_calls), (scalar_found, scalar_calls) = (
+        results["kernel"], results["scalar"]
+    )
+    oracle_pos, oracle_dist, oracle_calls = _masked_row_brute_force(
+        series, window, exclude
+    )
+    assert kernel_calls == scalar_calls == oracle_calls
+    if k - 1 <= window:
+        assert kernel_found is None and scalar_found is None
+        assert kernel_calls == 0
+        return
+    assert kernel_found.start == oracle_pos
+    assert _bits(kernel_found.nn_distance) == _bits(oracle_dist)
+    assert _bits(kernel_found.score) == _bits(oracle_dist)
+    # The scalar path sums squared differences instead of using the
+    # dot-product identity, so it agrees to roundoff, not to the bit;
+    # on exact ties (window 2 z-normalizes to ±1) its position may differ.
+    assert kernel_found.nn_distance == pytest.approx(
+        scalar_found.nn_distance, abs=1e-9
+    )
 
 
 class TestCounterBatch:

@@ -88,6 +88,34 @@ class TestInnerOrdering:
         assert all(a is b for a, b in zip(got, expected))
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
 
+    def test_mixed_list_matches_list_comprehension(self):
+        """Interleaved rules and gaps (gap ids -1 and -2): for every
+        candidate, in turn on one generator, ``order`` and ``rest_size``
+        equal the list-comprehension complement form, draw for draw."""
+        rng = np.random.default_rng(5)
+        rule_ids = rng.choice([-2, -1, 0, 1, 2, 3, 7], size=60)
+        candidates = [
+            RuleInterval(int(r), 10 * i, 10 * i + 8, usage=1)
+            for i, r in enumerate(rule_ids)
+        ]
+        ordering = _InnerOrdering(candidates)
+        got_rng = np.random.default_rng(3)
+        want_rng = np.random.default_rng(3)
+        for p in candidates + candidates[::-1]:
+            if p.rule_id < 0:
+                same_rule, rest = [], candidates
+            else:
+                same_rule = [iv for iv in candidates if iv.rule_id == p.rule_id]
+                rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
+            assert ordering.rest_size(p) == len(rest)
+            got = list(ordering.order(p, got_rng))
+            expected = same_rule + [
+                rest[j] for j in want_rng.permutation(len(rest))
+            ]
+            assert len(got) == len(expected)
+            assert all(a is b for a, b in zip(got, expected))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestFindDiscord:
     def test_finds_planted_blip(self):
@@ -278,3 +306,30 @@ class TestNearestNeighborProfileExact:
         profile = dict(nearest_neighbor_distances(series, [short, long_]))
         assert np.isfinite(profile[short])
         assert np.isinf(profile[long_])
+
+
+# TEK draws whose RRA call counts once drifted between distance paths:
+# an equal-length pair's last ulp flipped abandon decisions.  Sharded
+# search must reproduce the serial ledger and discord bits on them.
+_TEK_REPRODUCERS = [("TEK17", 100020), ("TEK16", 200022)]
+
+
+def _run_tek(variant, seed, *, n_workers=1):
+    from repro.core.pipeline import GrammarAnomalyDetector
+    from repro.datasets import tek_like
+
+    detector = GrammarAnomalyDetector(128, 4, 4, seed=0, n_workers=n_workers)
+    detector.fit(tek_like(variant, seed=seed).series)
+    result = detector.discords(num_discords=3)
+    return result.distance_calls, [
+        (d.start, d.end, d.nn_distance.hex()) for d in result.discords
+    ]
+
+
+@pytest.mark.parametrize("variant,seed", _TEK_REPRODUCERS)
+def test_parallel_rra_on_tek_reproducers_matches_serial(variant, seed):
+    import multiprocessing
+
+    serial = _run_tek(variant, seed)
+    assert _run_tek(variant, seed, n_workers=2) == serial
+    assert multiprocessing.active_children() == []
