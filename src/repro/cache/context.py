@@ -295,16 +295,17 @@ class SearchContext:
         searches.
 
         Keyed by the interval *positions* (rule ids are display-only:
-        the set reads nothing but ``start``/``end``/``length``), so a
-        repeated :func:`~repro.core.rra.find_discords` over the same
-        grammar — common in interactive sweeps — reuses every
-        z-normalized candidate subsequence, squared norm, squared
-        cumulative sum, and memoized pair distance instead of
-        rebuilding them.  Purely accelerative: every cached quantity is
-        the exact float the uncontexted path computes.  This is the
-        largest artifact family the context holds (one normalized copy
-        of every distinct candidate); use :meth:`clear` between
-        unrelated studies if memory matters.
+        the set ids candidates by ``(start, end)`` and reads nothing
+        else), so a repeated :func:`~repro.core.rra.find_discords` over
+        the same grammar — common in interactive sweeps — reuses every
+        candidate id, z-normalized subsequence, squared norm, squared
+        cumulative sum, memoized window energy and memoized pair
+        distance instead of rebuilding them.  Purely accelerative: every
+        cached quantity is the exact float the uncontexted path
+        computes.  This is the largest artifact family the context holds
+        (one normalized copy of every distinct candidate, plus the
+        energy and pair memos the searches filled); use :meth:`clear`
+        between unrelated studies if memory matters.
         """
         from repro.core.rra import _CandidateSet
 

@@ -26,6 +26,7 @@ comparable with HOTSAX and brute force (Table 1).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -48,7 +49,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.parallel.pool import MIN_PARALLEL_CANDIDATES, effective_workers
 from repro.timeseries import kernels
-from repro.timeseries.distance import DistanceCounter
+from repro.timeseries.distance import DistanceCounter, variable_length_distance
 from repro.timeseries.kernels import validate_backend
 
 
@@ -120,15 +121,20 @@ class _RankState:
 
 
 class _CandidateSet:
-    """Kernel statistics of candidate intervals, cached by position.
+    """Kernel statistics of candidate intervals, indexed by candidate id.
 
-    Z-normalization of every interval comes from one O(m) pass of
-    cumulative sums over the series (:class:`~repro.timeseries.kernels.
-    SeriesStats`) instead of a per-window ``znorm`` call, and the
-    quantities the pair distance kernel needs — squared norms and
-    squared cumulative sums of the normalized values — are cached per
-    distinct interval.  One instance is shared across the ranks of an
-    iterative :func:`find_discords` extraction.
+    Every distinct ``(start, end)`` position gets an integer id on first
+    sight (:meth:`ids`); its z-normalized values, squared norm and start
+    live in lists indexed by that id, so the inner loop of a search
+    reads them with one list index instead of a tuple-keyed lookup.
+    Z-normalization comes from one O(m) pass of cumulative sums over the
+    series (:class:`~repro.timeseries.kernels.SeriesStats`) instead of a
+    per-window ``znorm`` call.  One instance is shared across the ranks
+    of an iterative :func:`find_discords` extraction.
+
+    :meth:`distance` is the one RRA pair kernel: the serial search and
+    the sharded scan (:mod:`repro.parallel.scan`) draw every pair from
+    it, :func:`nearest_neighbor_distances` its unequal-length pairs.
     """
 
     def __init__(
@@ -141,97 +147,87 @@ class _CandidateSet:
         # A prebuilt SeriesStats lets pool workers rebuild the cache from
         # shared-memory cumulative sums instead of re-deriving them.
         self._stats = stats if stats is not None else kernels.SeriesStats(self.series)
-        self._values: dict[tuple[int, int], np.ndarray] = {}
-        self._sqnorms: dict[tuple[int, int], float] = {}
-        self._sq_cumsums: dict[tuple[int, int], np.ndarray] = {}
+        self._ids: dict[tuple[int, int], int] = {}
+        self.values: list[np.ndarray] = []
+        self.sqnorms: list[float] = []
+        self.starts: list[int] = []
+        self._sq_cumsums: list[Optional[np.ndarray]] = []
+        # Window energies ``sqc[n:] - sqc[:-n]`` of a long candidate for
+        # a short length n, keyed ``id << 32 | n``: a candidate meets
+        # many partners of the same length.
+        self._energies: dict[int, np.ndarray] = {}
         # Pair distances are symmetric and depend only on the interval
         # positions, so each distinct unordered pair is computed once —
         # within a search and, when a SearchContext keeps this set
         # alive, across repeated searches over the same candidates.
-        self._pair_distances: dict[tuple[int, int, int, int], float] = {}
+        # Keyed ``lo << 32 | hi`` over the two ids.
+        self._pairs: dict[int, float] = {}
 
     @property
     def stats(self) -> kernels.SeriesStats:
         """The cumulative-sum window statistics behind this cache."""
         return self._stats
 
-    def values(self, interval: RuleInterval) -> np.ndarray:
-        """Z-normalized subsequence of *interval* (cached)."""
-        key = (interval.start, interval.end)
-        cached = self._values.get(key)
-        if cached is None:
-            cached = self._stats.znorm(interval.start, interval.end)
-            self._values[key] = cached
-        return cached
+    def ids(self, intervals: Sequence[RuleInterval]) -> list[int]:
+        """Candidate id of every interval, registering unseen positions."""
+        ids = self._ids
+        out = []
+        for iv in intervals:
+            key = (iv.start, iv.end)
+            cid = ids.get(key)
+            if cid is None:
+                cid = len(self.values)
+                ids[key] = cid
+                values = self._stats.znorm(iv.start, iv.end)
+                self.values.append(values)
+                self.sqnorms.append(float(np.dot(values, values)))
+                self.starts.append(iv.start)
+                self._sq_cumsums.append(None)
+            out.append(cid)
+        return out
 
-    def sqnorm(self, interval: RuleInterval) -> float:
-        """Squared L2 norm of the normalized subsequence (cached)."""
-        key = (interval.start, interval.end)
-        cached = self._sqnorms.get(key)
-        if cached is None:
-            values = self.values(interval)
-            cached = float(np.dot(values, values))
-            self._sqnorms[key] = cached
-        return cached
+    def distance(self, i: int, j: int) -> float:
+        """Eq. 1 distance between candidates *i* and *j*, memoized.
 
-    def sq_cumsum(self, interval: RuleInterval) -> np.ndarray:
-        """Squared cumulative sum of the normalized subsequence (cached).
-
-        Feeds the sliding-alignment kernel when this interval plays the
-        "long" role of an unequal-length comparison.
+        Symmetric bit for bit: the memo key is the unordered pair, and
+        :meth:`pair_distance` always slides the shorter candidate.
         """
-        key = (interval.start, interval.end)
-        cached = self._sq_cumsums.get(key)
-        if cached is None:
-            cached = kernels.sq_cumsum(self.values(interval))
-            self._sq_cumsums[key] = cached
-        return cached
+        key = i << 32 | j if i < j else j << 32 | i
+        distance = self._pairs.get(key)
+        if distance is None:
+            distance = self.pair_distance(i, j)
+            self._pairs[key] = distance
+        return distance
 
+    def pair_distance(self, i: int, j: int) -> float:
+        """The unmemoized kernel behind :meth:`distance`.
 
-def _kernel_pair_distance(
-    cache: _CandidateSet, p: RuleInterval, q: RuleInterval
-) -> float:
-    """Vectorized Eq. 1 distance between two cached candidates.
-
-    Equal lengths use the dot-product identity with the cached squared
-    norms; unequal lengths evaluate the full sliding-alignment profile
-    in one shot instead of the scalar per-offset loop.  The result is
-    memoized per unordered pair (the distance is symmetric by
-    construction: the shorter interval always plays the query role).
-    """
-    pk, qk = (p.start, p.end), (q.start, q.end)
-    key = pk + qk if pk <= qk else qk + pk
-    memoized = cache._pair_distances.get(key)
-    if memoized is not None:
-        return memoized
-    distance = _pair_distance(cache, p, q)
-    cache._pair_distances[key] = distance
-    return distance
-
-
-def _pair_distance(cache: _CandidateSet, p: RuleInterval, q: RuleInterval) -> float:
-    """The unmemoized distance behind :func:`_kernel_pair_distance`.
-
-    Symmetric bit for bit: equal lengths sum two squared norms and one
-    dot product, unequal lengths always slide the shorter interval.
-    """
-    a = cache.values(p)
-    b = cache.values(q)
-    if a.size == b.size:
-        sq = cache.sqnorm(p) + cache.sqnorm(q) - 2.0 * float(np.dot(a, b))
-        distance = float(np.sqrt(max(sq, 0.0) / a.size))
-    else:
-        if a.size < b.size:
-            short_iv, long_iv, short, long_ = p, q, a, b
-        else:
-            short_iv, long_iv, short, long_ = q, p, b, a
-        distance = kernels.sliding_min_normalized_distance(
-            short,
-            long_,
-            short_sqnorm=cache.sqnorm(short_iv),
-            long_sq_cumsum=cache.sq_cumsum(long_iv),
-        )
-    return distance
+        Equal lengths use the dot-product identity with the cached
+        squared norms; unequal lengths slide the shorter candidate along
+        the longer with
+        :func:`~repro.timeseries.kernels.min_alignment_distance`, fed the
+        cached squared norm and the window energies memoized per
+        ``(long id, short length)``.
+        """
+        a = self.values[i]
+        b = self.values[j]
+        n = a.size
+        if n == b.size:
+            sq = self.sqnorms[i] + self.sqnorms[j] - 2.0 * float(np.dot(a, b))
+            return math.sqrt(max(sq, 0.0) / n)
+        if n > b.size:
+            i, j, a, b = j, i, b, a
+            n = a.size
+        key = j << 32 | n
+        energy = self._energies.get(key)
+        if energy is None:
+            cumsum = self._sq_cumsums[j]
+            if cumsum is None:
+                cumsum = kernels.sq_cumsum(b)
+                self._sq_cumsums[j] = cumsum
+            energy = cumsum[n:] - cumsum[:-n]
+            self._energies[key] = energy
+        return kernels.min_alignment_distance(a, b, self.sqnorms[i], energy)
 
 
 def _is_non_self_match(p: RuleInterval, q: RuleInterval) -> bool:
@@ -243,68 +239,72 @@ class _InnerOrdering:
     """Precomputed same-rule buckets for the RRA inner-loop ordering.
 
     Built once per :func:`find_discord` invocation over the (exclusion-
-    filtered) candidate list, so ordering a candidate's inner loop no
-    longer rescans all candidates with a Python predicate per outer
-    iteration — it chains a cached bucket with a cached complement,
-    held as an index array into the candidate list.
+    filtered) candidate list and the candidates' :class:`_CandidateSet`
+    ids.  Outer candidates are named by their index into that list;
+    :meth:`order` yields candidate *ids*, so the inner loop indexes the
+    set's lists directly and never touches a :class:`RuleInterval`.
     """
 
     #: Bucket key for gap candidates (any negative rule id).
     _GAP = -1
 
-    def __init__(self, candidates: list[RuleInterval]):
-        self._candidates = candidates
-        self._same_rule: dict[int, list[RuleInterval]] = defaultdict(list)
-        for iv in candidates:
-            if iv.rule_id >= 0:
-                self._same_rule[iv.rule_id].append(iv)
-        self._rule_ids = np.fromiter(
-            (iv.rule_id for iv in candidates), dtype=np.int64, count=len(candidates)
-        )
+    #: Tail entries mapped eagerly; the rest only if the loop gets there.
+    _HEAD = 32
+
+    def __init__(self, candidates: Sequence[RuleInterval], ids: Sequence[int]):
+        self._keys = [
+            iv.rule_id if iv.rule_id >= 0 else self._GAP for iv in candidates
+        ]
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self._same_rule: dict[int, list[int]] = defaultdict(list)
+        for key, cid in zip(self._keys, ids):
+            if key != self._GAP:
+                self._same_rule[key].append(cid)
+        self._rule_keys = np.asarray(self._keys, dtype=np.int64)
         self._rest: dict[int, np.ndarray] = {}
 
     def _rest_for(self, key: int) -> np.ndarray:
-        """Candidate indices of *key*'s tail: every other rule's intervals
-        and all gaps (all candidates for a gap)."""
+        """Ids of *key*'s tail, in candidate order: every other rule's
+        intervals and all gaps (all candidates for a gap)."""
         rest = self._rest.get(key)
         if rest is None:
             if key == self._GAP:
-                rest = np.arange(len(self._candidates))
+                rest = self._ids
             else:
-                rest = np.flatnonzero(self._rule_ids != key)
+                rest = self._ids[self._rule_keys != key]
             self._rest[key] = rest
         return rest
 
-    def _key(self, candidate: RuleInterval) -> int:
-        return candidate.rule_id if candidate.rule_id >= 0 else self._GAP
+    def rest_size(self, index: int) -> int:
+        """Length of the shuffled tail of candidate *index* — the size of
+        the one permutation ``order`` draws, which is all a parallel
+        parent needs to advance its generator past a candidate without
+        ordering it."""
+        return self._rest_for(self._keys[index]).size
 
-    def rest_size(self, candidate: RuleInterval) -> int:
-        """Length of the shuffled tail — the size of the one permutation
-        ``order`` draws, which is all a parallel parent needs to advance
-        its generator past a candidate without ordering it."""
-        return self._rest_for(self._key(candidate)).size
+    def order(self, index: int, rng: np.random.Generator) -> Iterator[int]:
+        """Ids of candidate *index*'s inner loop: same rule first, then
+        the rest shuffled.
 
-    def order(
-        self, candidate: RuleInterval, rng: np.random.Generator
-    ) -> Iterator[RuleInterval]:
-        """Same-rule intervals first, then the rest shuffled.
-
-        The shuffle is one ``Generator.permutation(len(rest))`` draw
-        (vectorized index permutation rather than an in-place Python-list
-        Fisher–Yates): faster, and its RNG consumption depends only on
-        the tail *length*, so the parallel layer can replay generator
-        states to any outer boundary without touching the intervals.
-        The draw happens here, eagerly; the intervals are produced
-        lazily, since the inner loop usually abandons after a few dozen
-        of the hundreds in the tail.
+        The shuffle is one ``Generator.permutation(len(rest))`` draw whose
+        RNG consumption depends only on the tail *length*, so the
+        parallel layer can replay generator states to any outer boundary
+        without ordering anything.  The draw happens here, eagerly; the
+        permuted tail is mapped to ids in two chunks, the first
+        :attr:`_HEAD` and then the remainder, since the inner loop
+        usually abandons after a few dozen of the hundreds in the tail.
         """
-        key = self._key(candidate)
+        key = self._keys[index]
         rest = self._rest_for(key)
-        same_rule = self._same_rule[key] if key != self._GAP else ()
         perm = rng.permutation(rest.size)
-        return chain(
-            same_rule, map(self._candidates.__getitem__, rest[perm].tolist())
-        )
+        same_rule = self._same_rule[key] if key != self._GAP else ()
+        return chain(same_rule, chain.from_iterable(self._tail(rest, perm)))
+
+    def _tail(self, rest: np.ndarray, perm: np.ndarray) -> Iterator[list[int]]:
+        head = self._HEAD
+        yield rest[perm[:head]].tolist()
+        if perm.size > head:
+            yield rest[perm[head:]].tolist()
 
 
 def find_discord(
@@ -405,12 +405,17 @@ def find_discord(
 
     if cache is None:
         cache = _CandidateSet(series)
-    ordering = _InnerOrdering(candidates)
+    cids = cache.ids(candidates)
+    ordering = _InnerOrdering(candidates, cids)
     use_kernel = backend != "scalar"
 
     # Outer ordering: ascending rule usage (gaps first), deterministic
-    # tie-break by position.
-    outer = sorted(candidates, key=lambda iv: (iv.usage, iv.start, iv.end))
+    # tie-break by position; held as indices into `candidates`.
+    outer_indices = sorted(
+        range(len(candidates)),
+        key=lambda c: (candidates[c].usage, candidates[c].start, candidates[c].end),
+    )
+    outer = [candidates[c] for c in outer_indices]
     by_key = {(iv.start, iv.end, iv.rule_id): iv for iv in candidates}
 
     best_dist = state.best_dist
@@ -438,7 +443,7 @@ def find_discord(
             cache=cache,
             ordering=ordering,
             candidates=candidates,
-            outer=outer,
+            outer_indices=outer_indices,
             state=state,
             counter=counter,
             rng=rng,
@@ -469,6 +474,7 @@ def find_discord(
             counter,
         )
 
+    values, starts, distance = cache.values, cache.starts, cache.distance
     try:
         for i in range(state.outer_index, len(outer)):
             # Record the boundary *before* consuming any randomness or
@@ -483,33 +489,39 @@ def find_discord(
             if _on_boundary is not None:
                 _on_boundary(state, outer)
             p = outer[i]
-            p_values = cache.values(p)
+            pid = cids[outer_indices[i]]
+            p_values = values[pid]
             p_start, p_length = p.start, p.length
             nearest = float("inf")
             abandoned = False
-            for q in ordering.order(p, rng):
-                # Paper line 7 (see _is_non_self_match), inlined.
-                if q is p or abs(p_start - q.start) <= p_length:
-                    continue
-                if use_kernel:
-                    counter.batch(1)
-                    dist = _kernel_pair_distance(cache, p, q)
-                else:
-                    dist = counter.variable_length(
-                        p_values, cache.values(q), normalize_inputs=False
-                    )
-                if dist < best_dist:
-                    abandoned = True  # p cannot beat the current best discord
-                    break
-                if dist < nearest:
-                    nearest = dist
+            scanned = 0
+            try:
+                for q in ordering.order(outer_indices[i], rng):
+                    # Paper line 7 (see _is_non_self_match), inlined; it
+                    # also skips p itself and any same-position twin.
+                    if abs(p_start - starts[q]) <= p_length:
+                        continue
+                    scanned += 1
+                    if use_kernel:
+                        dist = distance(pid, q)
+                    else:
+                        dist = variable_length_distance(
+                            p_values, values[q], normalize_inputs=False
+                        )
+                    if dist < best_dist:
+                        abandoned = True  # p cannot beat the current best discord
+                        break
+                    if dist < nearest:
+                        nearest = dist
+            finally:
+                # One ledger write per candidate; on an interrupt it
+                # still counts the aborted candidate's visited pairs.
+                counter.batch(scanned)
             if instrumented:
                 m_visited.inc()
                 if abandoned:
                     m_abandoned.inc()
-                    # state.calls still holds the boundary value, so the
-                    # delta is this candidate's inner-loop cost.
-                    m_depth.observe(counter.calls - state.calls)
+                    m_depth.observe(scanned)
                 else:
                     m_survived.inc()
             if not abandoned and np.isfinite(nearest) and nearest > best_dist:
@@ -944,8 +956,10 @@ def nearest_neighbor_distances(
 
     The kernel backend goes one-vs-all: candidates of the same length
     are compared with a single matrix-vector product per query, the
-    rest through the vectorized sliding-alignment kernel.  Accounting
-    is unchanged — one logical call per non-self-match pair.
+    rest through the search's pair kernel
+    (:meth:`_CandidateSet.pair_distance`, unmemoized: every pair is
+    met once).  Accounting is unchanged — one logical call per
+    non-self-match pair.
     """
     validate_backend(backend)
     series = np.asarray(series, dtype=float)
@@ -953,17 +967,18 @@ def nearest_neighbor_distances(
         counter = DistanceCounter()
     candidates = [iv for iv in intervals if iv.end <= series.size and iv.length >= 2]
     cache = _CandidateSet(series)
+    cids = cache.ids(candidates)
+    values = cache.values
     results: list[tuple[RuleInterval, float]] = []
 
     if backend == "scalar":
-        for p in candidates:
-            p_values = cache.values(p)
+        for p, pid in zip(candidates, cids):
             nearest = float("inf")
-            for q in candidates:
+            for q, qid in zip(candidates, cids):
                 if q is p or not _is_non_self_match(p, q):
                     continue
                 dist = counter.variable_length(
-                    p_values, cache.values(q), normalize_inputs=False
+                    values[pid], values[qid], normalize_inputs=False
                 )
                 if dist < nearest:
                     nearest = dist
@@ -980,7 +995,7 @@ def nearest_neighbor_distances(
     group_sqnorms: dict[int, np.ndarray] = {}
     group_index: dict[int, np.ndarray] = {}
     for length, members in by_length.items():
-        rows = np.stack([cache.values(candidates[i]) for i in members])
+        rows = np.stack([values[cids[i]] for i in members])
         group_rows[length] = rows
         group_sqnorms[length] = kernels.row_sqnorms(rows)
         group_index[length] = np.asarray(members, dtype=np.intp)
@@ -996,8 +1011,8 @@ def nearest_neighbor_distances(
         valid = gaps > p.length
         counter.batch(int(np.count_nonzero(valid)))
         nearest = nearest_of[i]
-        p_values = cache.values(p)
-        p_sqnorm = cache.sqnorm(p)
+        p_values = values[cids[i]]
+        p_sqnorm = cache.sqnorms[cids[i]]
 
         same = group_index[p.length]
         keep = valid[same]
@@ -1016,10 +1031,14 @@ def nearest_neighbor_distances(
         offered = valid[later] | (gaps[later] > lengths[later])
         offered &= lengths[later] != p.length
         for j in (i + 1 + np.flatnonzero(offered)).tolist():
-            dist = _pair_distance(cache, p, candidates[j])
+            dist = cache.pair_distance(cids[i], cids[j])
             if valid[j] and dist < nearest:
                 nearest = dist
             if gaps[j] > lengths[j] and dist < nearest_of[j]:
                 nearest_of[j] = dist
         results.append((p, nearest))
+        # Every pair is met once here, so window energies are reused
+        # within a row at most; dropping them bounds the profile's
+        # memory by one row's instead of every (candidate, length).
+        cache._energies.clear()
     return results

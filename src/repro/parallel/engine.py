@@ -290,7 +290,7 @@ def parallel_rra_rank(
     cache,
     ordering,
     candidates: list,
-    outer: list,
+    outer_indices: list,
     state,
     counter,
     rng: np.random.Generator,
@@ -303,6 +303,9 @@ def parallel_rra_rank(
     metrics=None,
 ) -> None:
     """One RRA rank sharded across the pool; mutates *state* and *counter*.
+
+    *outer_indices* is the serial outer order, as indices into
+    *candidates* (what the shards and *ordering* are indexed by).
 
     Resumes from ``state.outer_index`` with ``state.best_dist`` /
     ``state.best_key`` (so checkpointed runs re-enter here exactly like
@@ -330,9 +333,8 @@ def parallel_rra_rank(
         m_chunks = metrics.counter("parallel.chunks")
         m_worker_time = metrics.timer("parallel.worker_seconds")
     base_calls = counter.calls
+    outer = [candidates[c] for c in outer_indices]
     total = len(outer)
-    index_of = {id(iv): i for i, iv in enumerate(candidates)}
-    outer_indices = [index_of[id(iv)] for iv in outer]
 
     def _account() -> None:
         # The counter itself is only advanced once the rank settles;
@@ -370,7 +372,7 @@ def parallel_rra_rank(
             for lo, hi, _ in waves:
                 wave_states.append(rng_state_to_json(rng))
                 for i in range(lo, hi):
-                    rng.permutation(ordering.rest_size(outer[i]))
+                    rng.permutation(ordering.rest_size(outer_indices[i]))
             wave_states.append(rng_state_to_json(rng))
 
             # Flat chunk list, wave-major: chunk c of an n-chunk wave

@@ -22,6 +22,7 @@ cancellation token is re-bound to the pool's shared event.
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import signal
 import time
 from typing import Any, Callable, Optional
@@ -282,7 +283,9 @@ def run_tasks(
     Cancellation paths:
 
     * *budget*'s token trips → the shared event is set, workers notice at
-      their next outer-loop boundary and return best-so-far records;
+      their next outer-loop boundary and return best-so-far records (the
+      parent checks the token every *poll_seconds* while it waits; a
+      finished task wakes it at once);
     * ``KeyboardInterrupt`` in the parent → the event is set, finished
       shards are drained for up to *grace_seconds*, then the pool is
       terminated; the interrupt is re-raised for the caller to translate
@@ -305,6 +308,15 @@ def run_tasks(
             if on_result is not None:
                 on_result(delivered, results[delivered])
             delivered += 1
+
+    # The pool's result thread posts each finished task's index here, so
+    # the collect loop wakes at once instead of sleeping out a poll
+    # period; the get timeout keeps the cancellation check at the poll
+    # cadence.
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+
+    def _notifier(i: int) -> Callable[[Any], None]:
+        return lambda _value: finished.put(i)
 
     handles: list = []
     pool = ctx.Pool(
@@ -339,24 +351,27 @@ def run_tasks(
                 payload = payloads[i]
                 if callable(payload):
                     payload = payload()
-                handles[i] = pool.apply_async(task, (payload,))
+                notify = _notifier(i)
+                handles[i] = pool.apply_async(
+                    task, (payload,), callback=notify, error_callback=notify
+                )
             pending = set(wave_ids)
             while pending:
-                progressed = False
-                for i in sorted(pending):
-                    if handles[i].ready():
-                        results[i] = handles[i].get()
-                        done[i] = True
-                        pending.discard(i)
-                        progressed = True
-                _deliver_prefix()
-                if not pending:
-                    break
+                try:
+                    i = finished.get(timeout=poll_seconds)
+                except queue.Empty:
+                    pass
+                else:
+                    # The callback runs just before the handle turns
+                    # ready; get() waits out that gap (and re-raises a
+                    # task's exception).
+                    results[i] = handles[i].get()
+                    done[i] = True
+                    pending.discard(i)
+                    _deliver_prefix()
                 if budget is not None and budget.token is not None:
                     if budget.token.cancelled and not event.is_set():
                         event.set()
-                if not progressed:
-                    time.sleep(poll_seconds)
         pool.close()
         pool.join()
         return results

@@ -46,11 +46,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.core.rra import (
-    _CandidateSet,
-    _InnerOrdering,
-    _kernel_pair_distance,
-)
+from repro.core.rra import _CandidateSet, _InnerOrdering
 from repro.discord.search import _inner_sequence
 from repro.exceptions import DiscordSearchError
 from repro.grammar.intervals import RuleInterval
@@ -415,6 +411,7 @@ def scan_rra_positions(
     cache: _CandidateSet,
     ordering: _InnerOrdering,
     candidates: list,
+    cids: list,
     outer_indices: list,
     base: int,
     *,
@@ -428,15 +425,17 @@ def scan_rra_positions(
 ) -> ShardResult:
     """Scan one shard of RRA outer candidates (records, not results).
 
-    *outer_indices* are indices into *candidates* covering one wave of
-    the serial outer order; *base* is the outer rank of the first, so
-    records carry global outer ranks for the replay.  The shard *owns*
-    the positions ``j`` with ``j % stride == offset`` (the round-robin
-    deal that spreads the expensive front-of-order candidates across a
-    wave's workers); for the others it only consumes the serial RNG's
-    inner-ordering permutation, so the generator is in the exact serial
-    state when each owned candidate shuffles its tail.  The default
-    ``stride=1`` owns everything — a plain contiguous shard.
+    *outer_indices* are indices into *candidates* (whose
+    :class:`~repro.core.rra._CandidateSet` ids are *cids*) covering one
+    wave of the serial outer order; *base* is the outer rank of the
+    first, so records carry global outer ranks for the replay.  The
+    shard *owns* the positions ``j`` with ``j % stride == offset`` (the
+    round-robin deal that spreads the expensive front-of-order
+    candidates across a wave's workers); for the others it only
+    consumes the serial RNG's inner-ordering permutation, so the
+    generator is in the exact serial state when each owned candidate
+    shuffles its tail.  The default ``stride=1`` owns everything — a
+    plain contiguous shard.
     """
     if budget is None:
         budget = SearchBudget.unlimited()
@@ -447,32 +446,34 @@ def scan_rra_positions(
         m_pairs = metrics.counter("worker.pairs")
         m_depth = metrics.histogram("worker.scan_depth")
     use_kernel = backend != "scalar"
+    values, starts, distance = cache.values, cache.starts, cache.distance
     result = ShardResult()
     local_best = floor
     started = time.perf_counter()
     for j, ci in enumerate(outer_indices):
-        p = candidates[ci]
         if j % stride != offset:
-            rng.permutation(ordering.rest_size(p))
+            rng.permutation(ordering.rest_size(ci))
             continue
         if budget.interrupted(result.calls) is not None:
             result.status = budget.status.value
             break
-        p_values = cache.values(p)
+        p = candidates[ci]
+        pid = cids[ci]
+        p_values = values[pid]
         p_start, p_length = p.start, p.length
         minima: list = []
         nearest = float("inf")
         scanned = 0
         complete = True
-        for q in ordering.order(p, rng):
+        for q in ordering.order(ci, rng):
             # Paper line 7 (see _is_non_self_match), inlined.
-            if q is p or abs(p_start - q.start) <= p_length:
+            if abs(p_start - starts[q]) <= p_length:
                 continue
             if use_kernel:
-                dist = _kernel_pair_distance(cache, p, q)
+                dist = distance(pid, q)
             else:
                 dist = variable_length_distance(
-                    p_values, cache.values(q), normalize_inputs=False
+                    p_values, values[q], normalize_inputs=False
                 )
             scanned += 1
             if dist < nearest:
@@ -518,16 +519,18 @@ def scan_rra_shard(payload: dict) -> ShardResult:
         ]
         stats = kernels.SeriesStats.from_cumsums(series, cumsum, sq_cumsum)
         cache = _CandidateSet(series, stats=stats)
-        ordering = _InnerOrdering(candidates)
+        cids = cache.ids(candidates)
+        ordering = _InnerOrdering(candidates, cids)
         _RRA_SHARD_MEMO.clear()
-        _RRA_SHARD_MEMO[memo_key] = (cache, ordering, candidates)
+        _RRA_SHARD_MEMO[memo_key] = (cache, ordering, candidates, cids)
     else:
-        cache, ordering, candidates = memo
+        cache, ordering, candidates, cids = memo
     registry = MetricsRegistry() if payload.get("metrics") else None
     result = scan_rra_positions(
         cache,
         ordering,
         candidates,
+        cids,
         payload["outer_indices"],
         payload["base"],
         backend=payload["backend"],

@@ -55,6 +55,7 @@ __all__ = [
     "early_abandon_filter",
     "sliding_alignment_sq_profile",
     "sliding_min_normalized_distance",
+    "min_alignment_distance",
     "variable_length_kernel",
     "first_below",
     "running_min_points",
@@ -471,33 +472,51 @@ def sliding_min_normalized_distance(
 
     The kernel form of the paper's Eq. 1 distance for already-normalized
     inputs: ``min over offsets of sqrt(‖short − segment‖² / len(short))``.
-
-    This is RRA's per-pair hot path, so the profile is fused: it is
-    never clipped, only its minimum is.  Clipping at zero is monotone,
-    so ``min(clip(x, 0)) == max(min(x), 0)`` and the result is bit for
-    bit ``sqrt(sliding_alignment_sq_profile(...).min() / n)``.  Callers
-    that pass both precomputed pieces must pass 1-d float arrays; the
-    inputs are then used as given.
+    Validates the lengths, fills in the pieces not given, and evaluates
+    :func:`min_alignment_distance`.  Callers that pass both precomputed
+    pieces must pass 1-d float arrays; the inputs are then used as given.
     """
     if short_sqnorm is None or long_sq_cumsum is None:
         short = np.asarray(short, dtype=float)
         long_ = np.asarray(long_, dtype=float)
-        if short_sqnorm is None:
-            short_sqnorm = float(np.dot(short, short))
-        if long_sq_cumsum is None:
-            long_sq_cumsum = sq_cumsum(long_)
     n = short.size
     if n == 0 or long_.size < n:
         raise ParameterError(
             f"alignment needs 0 < len(short) <= len(long), "
             f"got {n} vs {long_.size}"
         )
-    sq = (
-        short_sqnorm
-        + (long_sq_cumsum[n:] - long_sq_cumsum[:-n])
-        - 2.0 * np.correlate(long_, short)
+    if short_sqnorm is None:
+        short_sqnorm = float(np.dot(short, short))
+    if long_sq_cumsum is None:
+        long_sq_cumsum = sq_cumsum(long_)
+    return min_alignment_distance(
+        short, long_, short_sqnorm, long_sq_cumsum[n:] - long_sq_cumsum[:-n]
     )
-    return math.sqrt(max(float(sq.min()), 0.0) / n)
+
+
+def min_alignment_distance(
+    short: np.ndarray,
+    long_: np.ndarray,
+    short_sqnorm: float,
+    window_energy: np.ndarray,
+) -> float:
+    """``sqrt(max(min over offsets of ‖short − segment‖², 0) / n)``, unchecked.
+
+    *short_sqnorm* is ``‖short‖²`` and *window_energy* the
+    ``len(long_) − n + 1`` squared norms ``‖long_[o : o + n]‖²``; both
+    are read, never written.  This is RRA's per-pair hot path
+    (``repro.core.rra._CandidateSet`` memoizes both pieces), so it takes
+    positional arguments, validates nothing, and builds the profile in
+    place.  The profile is never clipped, only its minimum is: clipping
+    at zero is monotone, so ``min(clip(x, 0)) == max(min(x), 0)`` and
+    the result is bit for bit
+    ``sqrt(sliding_alignment_sq_profile(...).min() / n)``.
+    """
+    sq = window_energy + short_sqnorm
+    cross = np.correlate(long_, short)
+    cross *= 2.0
+    sq -= cross
+    return math.sqrt(max(float(np.minimum.reduce(sq)), 0.0) / short.size)
 
 
 def variable_length_kernel(p: np.ndarray, q: np.ndarray) -> float:

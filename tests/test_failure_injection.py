@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import GrammarAnomalyDetector
-from repro.core.rra import find_discords
+from repro.core.rra import _CandidateSet, find_discords
 from repro.datasets import sine_with_anomaly
 from repro.discord.brute_force import brute_force_discords
 from repro.discord.haar import haar_discords
@@ -26,6 +26,7 @@ from repro.exceptions import (
 )
 from repro.grammar.sequitur import induce_grammar
 from repro.resilience import CancellationToken, SearchBudget, SearchStatus
+from repro.resilience.checkpoint import load_checkpoint
 from repro.sax.discretize import discretize
 from repro.streaming import StreamingAnomalyDetector
 
@@ -365,6 +366,49 @@ class TestCheckpointResume:
         assert resumed.discords == reference.discords
         assert resumed.distance_calls == reference.distance_calls
         assert resumed.rank_complete == reference.rank_complete
+
+    def test_mid_candidate_interrupt_keeps_ledger(
+        self, tmp_path, sine_bump, monkeypatch
+    ):
+        """A Ctrl-C inside a candidate's inner loop: the result counts
+        every pair visited, the aborted one included; the checkpoint
+        holds the last completed boundary; resuming equals the
+        uninterrupted run."""
+        series, candidates = _fitted(sine_bump.series)
+        reference = find_discords(series, candidates, num_discords=2)
+        trip_at = reference.distance_calls // 2
+        visited = [0]
+        pair = _CandidateSet.distance
+
+        def tripping(cache, i, j):
+            visited[0] += 1
+            if visited[0] == trip_at:
+                raise KeyboardInterrupt
+            return pair(cache, i, j)
+
+        monkeypatch.setattr(_CandidateSet, "distance", tripping)
+        path = str(tmp_path / "ckpt.json")
+        cut = find_discords(
+            series, candidates, num_discords=2,
+            budget=SearchBudget.unlimited(),
+            checkpoint_path=path, checkpoint_every=4,
+        )
+        monkeypatch.undo()
+        assert cut.status is SearchStatus.CANCELLED
+        assert cut.distance_calls == trip_at
+        data = load_checkpoint(path)
+        assert not data["done"]
+        # The boundary before the aborted candidate, whose partial scan
+        # (at least the tripping pair) is not in the checkpoint.
+        assert 0 < data["distance_calls"] < trip_at
+        assert data["outer_index"] == len(data["visited"])
+        resumed = find_discords(
+            series, candidates, num_discords=2,
+            checkpoint_path=path, resume_from=path,
+        )
+        assert resumed.complete
+        assert resumed.discords == reference.discords
+        assert resumed.distance_calls == reference.distance_calls
 
     def test_resume_rejects_different_inputs(self, tmp_path, sine_bump):
         series, candidates = _fitted(sine_bump.series)

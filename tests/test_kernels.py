@@ -255,10 +255,11 @@ def _bits(value: float) -> int:
     st.sampled_from(["random", "embedded", "flat_a", "flat_b", "flat_both"]),
 )
 def test_fused_min_distance_is_bit_identical(seed, len_a, len_b, kind):
-    """The fused kernel returns the unfused formula's exact bits for
-    either argument order, including alignments whose squared distance
-    rounds to zero or below (an embedded copy) and flat intervals, whose
-    z-normalized values are all zero."""
+    """The fused kernel and its unchecked core (RRA's pair kernel)
+    return the unfused formula's exact bits for either argument order,
+    including alignments whose squared distance rounds to zero or below
+    (an embedded copy) and flat intervals, whose z-normalized values are
+    all zero."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=len_a)
     b = rng.normal(size=len_b)
@@ -279,6 +280,12 @@ def test_fused_min_distance_is_bit_identical(seed, len_a, len_b, kind):
             short, long_, short_sqnorm=short_sqnorm, long_sq_cumsum=long_sq_cumsum
         )
         assert _bits(fused) == _bits(expected)
+        n = short.size
+        energy = long_sq_cumsum[n:] - long_sq_cumsum[:-n]
+        core = kernels.min_alignment_distance(short, long_, short_sqnorm, energy)
+        assert _bits(core) == _bits(expected)
+        # The window energies are read, never written (RRA memoizes them).
+        assert np.array_equal(energy, long_sq_cumsum[n:] - long_sq_cumsum[:-n])
         assert _bits(kernels.variable_length_kernel(p, q)) == _bits(expected)
 
 
@@ -362,6 +369,7 @@ def _masked_row_brute_force(series, window, exclude):
 @example(seed=1, length=40, frac=0.25, ends="head")
 @example(seed=1, length=40, frac=0.25, ends="tail")
 @example(seed=2, length=40, frac=0.6, ends="all")
+@example(seed=10475865, length=8, frac=0.25, ends="all")
 def test_brute_force_row_minimum_is_bit_identical(seed, length, frac, ends):
     """Without early abandoning, the kernel brute force takes the root of
     each row's minimum squared distance.  Its discord carries the exact
@@ -403,8 +411,11 @@ def test_brute_force_row_minimum_is_bit_identical(seed, length, frac, ends):
     # The scalar path sums squared differences instead of using the
     # dot-product identity, so it agrees to roundoff, not to the bit;
     # on exact ties (window 2 z-normalizes to ±1) its position may differ.
-    assert kernel_found.nn_distance == pytest.approx(
-        scalar_found.nn_distance, abs=1e-9
+    # The roundoff is in the squared distance: a twin at distance 0
+    # leaves a residual near 4e-16 whose root is 2e-8, so the roots are
+    # compared squared, to just above that roundoff.
+    assert kernel_found.nn_distance ** 2 == pytest.approx(
+        scalar_found.nn_distance ** 2, abs=1e-12
     )
 
 

@@ -11,6 +11,7 @@ tolerance.
 from __future__ import annotations
 
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.discord.haar import haar_discords
 from repro.discord.hotsax import hotsax_discords
 from repro.exceptions import ParameterError
 from repro.parallel import effective_workers, shard_slices, strided_wave_plan
-from repro.parallel.pool import budget_from_spec, budget_to_spec
+from repro.parallel.pool import budget_from_spec, budget_to_spec, run_tasks
 from repro.resilience.budget import CancellationToken, SearchBudget, SearchStatus
 from repro.timeseries.distance import DistanceCounter
 
@@ -104,6 +105,18 @@ def test_budget_split_fair_share():
     assert all(b.max_calls is None for b in SearchBudget.unlimited().split(4))
     with pytest.raises(ParameterError):
         budget.split(0)
+
+
+def test_run_tasks_wakes_on_completion():
+    """The collector wakes when a task finishes, not at the next poll:
+    with a 5 s poll period, every wave still returns at once."""
+    started = time.monotonic()
+    results = run_tasks(
+        abs, [-1, -2, -3, -4], n_workers=2, poll_seconds=5.0, wave_size=2
+    )
+    assert results == [1, 2, 3, 4]
+    assert time.monotonic() - started < 4.0
+    _no_orphans()
 
 
 def test_distance_counter_merge():

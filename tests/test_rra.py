@@ -12,7 +12,6 @@ from repro.core.rra import (
     _CandidateSet,
     _InnerOrdering,
     _is_non_self_match,
-    _kernel_pair_distance,
     find_discord,
     find_discords,
     nearest_neighbor_distances,
@@ -20,7 +19,7 @@ from repro.core.rra import (
 from repro.exceptions import DiscordSearchError
 from repro.grammar.intervals import RuleInterval
 from repro.timeseries import kernels
-from repro.timeseries.distance import DistanceCounter
+from repro.timeseries.distance import DistanceCounter, variable_length_distance
 
 
 def _blip_series(length=800, period=50, blip_at=400, seed=0):
@@ -62,30 +61,32 @@ class TestNonSelfMatch:
 class TestInnerOrdering:
     @pytest.mark.parametrize("kind", ["gap", "rule"])
     def test_lazy_order_matches_eager_list(self, kind):
-        """``order`` yields the same objects, in the same order, as the
-        eager ``same_rule + [rest[j] for j in perm]`` list, and draws its
-        one permutation before the first interval is read."""
-        candidates = [
-            iv for iv in _candidates_for(_blip_series()) if iv.length >= 2
-        ]
-        ordering = _InnerOrdering(candidates)
-        p = next(
-            iv for iv in candidates if (iv.rule_id < 0) == (kind == "gap")
+        """``order`` yields the candidate ids of the eager
+        ``same_rule + [rest[j] for j in perm]`` list, in the same order,
+        and draws its one permutation before the first id is read."""
+        series = _blip_series()
+        candidates = [iv for iv in _candidates_for(series) if iv.length >= 2]
+        cids = _CandidateSet(series).ids(candidates)
+        ordering = _InnerOrdering(candidates, cids)
+        index = next(
+            c for c, iv in enumerate(candidates)
+            if (iv.rule_id < 0) == (kind == "gap")
         )
+        p = candidates[index]
         if kind == "gap":
-            same_rule, rest = [], candidates
+            same_rule, rest = [], list(range(len(candidates)))
         else:
-            same_rule = [iv for iv in candidates if iv.rule_id == p.rule_id]
-            rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
-        assert ordering.rest_size(p) == len(rest)
+            same_rule = [c for c, iv in enumerate(candidates) if iv.rule_id == p.rule_id]
+            rest = [c for c, iv in enumerate(candidates) if iv.rule_id != p.rule_id]
+        assert len(rest) > _InnerOrdering._HEAD  # both tail chunks are read
+        assert ordering.rest_size(index) == len(rest)
         lazy_rng = np.random.default_rng(11)
         eager_rng = np.random.default_rng(11)
-        lazy = ordering.order(p, lazy_rng)
+        lazy = ordering.order(index, lazy_rng)
         expected = same_rule + [rest[j] for j in eager_rng.permutation(len(rest))]
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
         got = list(lazy)
-        assert len(got) == len(expected)
-        assert all(a is b for a, b in zip(got, expected))
+        assert got == [cids[c] for c in expected]
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
 
     def test_mixed_list_matches_list_comprehension(self):
@@ -98,23 +99,39 @@ class TestInnerOrdering:
             RuleInterval(int(r), 10 * i, 10 * i + 8, usage=1)
             for i, r in enumerate(rule_ids)
         ]
-        ordering = _InnerOrdering(candidates)
+        cids = _CandidateSet(np.arange(700, dtype=float)).ids(candidates)
+        ordering = _InnerOrdering(candidates, cids)
         got_rng = np.random.default_rng(3)
         want_rng = np.random.default_rng(3)
-        for p in candidates + candidates[::-1]:
+        indices = list(range(len(candidates)))
+        for index in indices + indices[::-1]:
+            p = candidates[index]
             if p.rule_id < 0:
-                same_rule, rest = [], candidates
+                same_rule, rest = [], indices
             else:
-                same_rule = [iv for iv in candidates if iv.rule_id == p.rule_id]
-                rest = [iv for iv in candidates if iv.rule_id != p.rule_id]
-            assert ordering.rest_size(p) == len(rest)
-            got = list(ordering.order(p, got_rng))
+                same_rule = [c for c in indices if candidates[c].rule_id == p.rule_id]
+                rest = [c for c in indices if candidates[c].rule_id != p.rule_id]
+            assert ordering.rest_size(index) == len(rest)
+            got = list(ordering.order(index, got_rng))
             expected = same_rule + [
                 rest[j] for j in want_rng.permutation(len(rest))
             ]
-            assert len(got) == len(expected)
-            assert all(a is b for a, b in zip(got, expected))
+            assert got == [cids[c] for c in expected]
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_same_position_twins_share_one_id(self):
+        """Candidates at one position (a rule and a gap, say) get one id,
+        and each still appears in the order under that id."""
+        candidates = [
+            RuleInterval(1, 0, 8, usage=2),
+            RuleInterval(-1, 0, 8, usage=0),
+            RuleInterval(1, 20, 28, usage=2),
+        ]
+        cids = _CandidateSet(np.arange(40, dtype=float)).ids(candidates)
+        assert cids == [0, 0, 1]
+        ordering = _InnerOrdering(candidates, cids)
+        got = list(ordering.order(0, np.random.default_rng(0)))
+        assert got[:2] == [0, 1] and sorted(got[2:]) == [0]
 
 
 class TestFindDiscord:
@@ -241,6 +258,66 @@ class TestNearestNeighborDistances:
             assert min(frequent) < 0.5
 
 
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+class TestPairKernel:
+    """``_CandidateSet.distance`` is the one RRA pair kernel; it must be
+    the unfused formula's exact float for every pair, from either end,
+    memoized or not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        spans=st.lists(
+            st.tuples(st.integers(0, 230), st.sampled_from([2, 5, 9, 14, 30, 70])),
+            min_size=2,
+            max_size=12,
+        ),
+        flat=st.booleans(),
+    )
+    def test_bit_identical_to_profile_oracle(self, seed, spans, flat):
+        series = np.cumsum(np.random.default_rng(seed).normal(size=300))
+        if flat:
+            series[100:200] = 3.0  # flat candidates: z-normalized to zeros
+        candidates = [
+            RuleInterval(i, start, start + length, usage=1)
+            for i, (start, length) in enumerate(spans)
+        ]
+        cache = _CandidateSet(series)
+        cids = cache.ids(candidates)
+        for i in cids:
+            for j in cids:
+                a, b = cache.values[i], cache.values[j]
+                if a.size == b.size:
+                    # One alignment: the dot-product identity over the
+                    # cached norms (np.correlate is not np.dot bit for
+                    # bit, so the profile form is not the oracle here).
+                    sq = cache.sqnorms[i] + cache.sqnorms[j] - 2.0 * float(np.dot(a, b))
+                    expected = float(np.sqrt(max(sq, 0.0) / a.size))
+                else:
+                    short, long_ = (a, b) if a.size < b.size else (b, a)
+                    profile = kernels.sliding_alignment_sq_profile(
+                        short,
+                        long_,
+                        short_sqnorm=float(np.dot(short, short)),
+                        long_sq_cumsum=kernels.sq_cumsum(long_),
+                    )
+                    expected = float(np.sqrt(max(profile.min(), 0.0) / short.size))
+                first = cache.distance(i, j)
+                assert _bits(first) == _bits(expected)
+                assert _bits(cache.distance(j, i)) == _bits(first)
+                assert _bits(cache.distance(i, j)) == _bits(first)  # memo hit
+                assert _bits(cache.pair_distance(j, i)) == _bits(first)
+                # The per-offset scalar loop sums squared differences; the
+                # kernel's norm identity cancels to ~1e-16 in the squared
+                # distance, so near-identical pairs agree there, not in
+                # the square root.
+                reference = variable_length_distance(a, b, normalize_inputs=False)
+                assert first**2 == pytest.approx(reference**2, abs=1e-12)
+
+
 def _profile_oracle(series, candidates):
     """Per-candidate nearest neighbours, each pair visited from both ends.
 
@@ -249,22 +326,26 @@ def _profile_oracle(series, candidates):
     backend's accounting describes: one logical call per valid pair.
     """
     cache = _CandidateSet(series)
+    cids = cache.ids(candidates)
     calls, profile = 0, []
-    for p in candidates:
+    for p, pid in zip(candidates, cids):
         nearest = float("inf")
-        same = [q for q in candidates if q.length == p.length and _is_non_self_match(p, q)]
+        same = [
+            qid for q, qid in zip(candidates, cids)
+            if q.length == p.length and _is_non_self_match(p, q)
+        ]
         if same:
-            rows = np.stack([cache.values(q) for q in same])
+            rows = np.stack([cache.values[qid] for qid in same])
             sq = kernels.one_vs_all_sq_euclidean(
-                cache.values(p),
+                cache.values[pid],
                 rows,
-                query_sqnorm=cache.sqnorm(p),
+                query_sqnorm=cache.sqnorms[pid],
                 sqnorms=kernels.row_sqnorms(rows),
             )
             nearest = float(np.sqrt(sq.min() / p.length))
-        for q in candidates:
+        for q, qid in zip(candidates, cids):
             if q.length != p.length and _is_non_self_match(p, q):
-                nearest = min(nearest, _kernel_pair_distance(cache, p, q))
+                nearest = min(nearest, cache.distance(pid, qid))
         calls += sum(q is not p and _is_non_self_match(p, q) for q in candidates)
         profile.append((p, nearest))
     return calls, profile
